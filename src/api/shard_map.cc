@@ -71,6 +71,44 @@ std::pair<size_t, size_t> ShardMap::ShardsForQuery(const Query& query) const {
   return ShardsForRange(query.range(sort_dim_));
 }
 
+ShardPlan ShardMap::Plan(std::span<const Query> queries) const {
+  ShardPlan plan;
+  plan.sub.resize(num_shards());
+  plan.origin.resize(num_shards());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (queries[i].IsEmpty()) {
+      plan.empty.push_back(i);
+      continue;
+    }
+    const auto [first, last] = ShardsForQuery(queries[i]);
+    plan.sent += last - first + 1;
+    plan.pruned += num_shards() - (last - first + 1);
+    for (size_t s = first; s <= last; ++s) {
+      plan.sub[s].push_back(queries[i]);
+      plan.origin[s].push_back(i);
+    }
+  }
+  return plan;
+}
+
+StatusOr<std::vector<ShardRows>> ShardMap::SplitRows(
+    std::span<const std::vector<Value>> rows) const {
+  std::vector<ShardRows> groups(num_shards());
+  for (size_t s = 0; s < groups.size(); ++s) groups[s].shard = s;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].size() != rows[0].size() || sort_dim_ >= rows[i].size()) {
+      return Status::InvalidArgument(
+          "row " + std::to_string(i) + " has " +
+          std::to_string(rows[i].size()) +
+          " values; batch rows need one length past sort dim " +
+          std::to_string(sort_dim_));
+    }
+    groups[ShardForValue(rows[i][sort_dim_])].rows.push_back(rows[i]);
+  }
+  std::erase_if(groups, [](const ShardRows& g) { return g.rows.empty(); });
+  return groups;
+}
+
 ValueRange ShardMap::RangeOf(size_t s) const {
   FLOOD_DCHECK(s < num_shards());
   ValueRange r;

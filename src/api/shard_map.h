@@ -2,6 +2,7 @@
 #define FLOOD_API_SHARD_MAP_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,22 @@
 #include "storage/table.h"
 
 namespace flood {
+
+/// Which shard runs which query of a batch (ShardMap::Plan), in batch
+/// order per shard. Empty queries reach no shard: the caller answers them.
+struct ShardPlan {
+  std::vector<std::vector<Query>> sub;      ///< sub[s]: shard s's queries.
+  std::vector<std::vector<size_t>> origin;  ///< Batch index of sub[s][j].
+  std::vector<size_t> empty;                ///< Batch indices of empties.
+  uint64_t sent = 0;                        ///< Sum of sub[s].size().
+  uint64_t pruned = 0;  ///< Shards skipped, summed over non-empty queries.
+};
+
+/// One shard's share of a write batch (ShardMap::SplitRows).
+struct ShardRows {
+  size_t shard = 0;
+  std::vector<std::vector<Value>> rows;  ///< In batch order.
+};
 
 /// Key-range partitioning of the value space of ONE dimension (the "sort
 /// dimension", by analogy with Flood's layout: the dimension the grid
@@ -64,6 +81,16 @@ class ShardMap {
   /// query has one, every shard otherwise (a query that does not filter
   /// the sort dimension must fan out to all shards).
   std::pair<size_t, size_t> ShardsForQuery(const Query& query) const;
+
+  /// Sends each non-empty query of a batch to the shards ShardsForQuery
+  /// names. The batch planner of ShardedDatabase and serve::Router.
+  ShardPlan Plan(std::span<const Query> queries) const;
+
+  /// Groups rows by the shard owning their sort-dim value, in shard order,
+  /// for ShardedDatabase and serve::Router; InvalidArgument if a row has
+  /// no sort-dim value or the rows differ in length.
+  StatusOr<std::vector<ShardRows>> SplitRows(
+      std::span<const std::vector<Value>> rows) const;
 
   /// Inclusive value range owned by shard `s`.
   ValueRange RangeOf(size_t s) const;

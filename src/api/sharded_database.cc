@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "common/math_util.h"
 #include "common/timer.h"
 
 namespace flood {
@@ -11,14 +12,11 @@ namespace flood {
 namespace {
 
 /// Adds shard `part` of a scatter into the merged result for one query.
-/// Counts and sums add (each row lives in exactly one shard); sums use
-/// wrapping uint64 arithmetic so adversarial values can't trip signed-
-/// overflow UB — matching how a single database accumulates. max_query_ns
+/// Counts and sums add (each row lives in exactly one shard); max_query_ns
 /// and friends merge inside QueryStats::Add.
 void MergeQueryResult(const QueryResult& part, QueryResult* merged) {
   merged->count += part.count;
-  merged->sum = static_cast<int64_t>(static_cast<uint64_t>(merged->sum) +
-                                     static_cast<uint64_t>(part.sum));
+  merged->sum = WrappingAdd(merged->sum, part.sum);
   merged->stats.Add(part.stats);
 }
 
@@ -78,17 +76,17 @@ StatusOr<ShardedDatabase> ShardedDatabase::Open(const Table& table,
   return ShardedDatabase(std::move(map), std::move(shards), table.num_dims());
 }
 
-Status ShardedDatabase::ValidateArity(size_t got, const char* what) const {
-  if (got == num_dims_) return Status::OK();
-  return Status::InvalidArgument(std::string(what) + " has " +
-                                 std::to_string(got) + " values, table has " +
-                                 std::to_string(num_dims_) + " dimensions");
+Status ShardedDatabase::ValidateArity(const Query& query) const {
+  if (query.num_dims() == num_dims_) return Status::OK();
+  return Status::InvalidArgument(
+      "query has " + std::to_string(query.num_dims()) +
+      " dimensions, table has " + std::to_string(num_dims_));
 }
 
 // --- Reads -------------------------------------------------------------------
 
 StatusOr<QueryResult> ShardedDatabase::TryRun(const Query& query) {
-  FLOOD_RETURN_IF_ERROR(ValidateArity(query.num_dims(), "query"));
+  FLOOD_RETURN_IF_ERROR(ValidateArity(query));
   QueryResult merged;
   merged.kind = query.agg().kind == AggSpec::Kind::kSum
                     ? QueryResult::Kind::kSum
@@ -119,44 +117,29 @@ BatchResult ShardedDatabase::RunBatch(std::span<const Query> queries) {
   // Validate the whole batch up front, like Database::RunBatch: one
   // malformed query fails the batch before any shard runs.
   for (const Query& q : queries) {
-    out.status = ValidateArity(q.num_dims(), "query");
+    out.status = ValidateArity(q);
     if (!out.status.ok()) return out;
   }
 
+  const ShardPlan plan = map_.Plan(queries);
   out.results.resize(queries.size());
-  std::vector<std::vector<Query>> sub(shards_.size());
-  std::vector<std::vector<size_t>> origin(shards_.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = queries[i];
-    out.results[i].kind = q.agg().kind == AggSpec::Kind::kSum
+    out.results[i].kind = queries[i].agg().kind == AggSpec::Kind::kSum
                               ? QueryResult::Kind::kSum
                               : QueryResult::Kind::kCount;
-    if (q.IsEmpty()) {
-      out.results[i].skipped_empty = true;
-      ++out.empty_skipped;
-      continue;
-    }
-    const auto [first, last] = map_.ShardsForQuery(q);
-    for (size_t s = first; s <= last; ++s) {
-      sub[s].push_back(q);
-      origin[s].push_back(i);
-    }
   }
+  for (const size_t i : plan.empty) out.results[i].skipped_empty = true;
+  out.empty_skipped = plan.empty.size();
 
   // Each shard executes its sub-batch through its own RunBatch (so the
   // per-shard thread pools apply); the per-query merge happens here, in
   // shard order, for determinism.
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (sub[s].empty()) continue;
-    BatchResult part = shards_[s]->RunBatch(sub[s]);
-    if (!part.status.ok()) {
-      out.status = part.status;
-      out.results.clear();
-      out.empty_skipped = 0;
-      return out;
-    }
-    for (size_t j = 0; j < origin[s].size(); ++j) {
-      MergeQueryResult(part.results[j], &out.results[origin[s][j]]);
+    if (plan.sub[s].empty()) continue;
+    BatchResult part = shards_[s]->RunBatch(plan.sub[s]);
+    if (!part.status.ok()) return part;  // Status set, results empty.
+    for (size_t j = 0; j < plan.origin[s].size(); ++j) {
+      MergeQueryResult(part.results[j], &out.results[plan.origin[s][j]]);
     }
     out.stats.Merge(part.stats);
   }
@@ -179,7 +162,7 @@ std::vector<uint64_t> ShardedDatabase::IdOffsets() const {
 }
 
 StatusOr<QueryResult> ShardedDatabase::TryCollect(const Query& query) {
-  FLOOD_RETURN_IF_ERROR(ValidateArity(query.num_dims(), "query"));
+  FLOOD_RETURN_IF_ERROR(ValidateArity(query));
   QueryResult merged;
   merged.kind = QueryResult::Kind::kRows;
   if (query.IsEmpty()) {
@@ -211,29 +194,23 @@ StatusOr<std::vector<Value>> ShardedDatabase::TryGetRow(
 // --- Writes ------------------------------------------------------------------
 
 Status ShardedDatabase::Insert(const std::vector<Value>& row) {
-  FLOOD_RETURN_IF_ERROR(ValidateArity(row.size(), "row"));
-  return shards_[map_.ShardForValue(row[map_.sort_dim()])]->Insert(row);
+  return InsertBatch(std::span(&row, 1));
 }
 
 Status ShardedDatabase::InsertBatch(
     std::span<const std::vector<Value>> rows) {
-  for (const auto& row : rows) {
-    FLOOD_RETURN_IF_ERROR(ValidateArity(row.size(), "row"));
-  }
-  std::vector<std::vector<std::vector<Value>>> parts(shards_.size());
-  for (const auto& row : rows) {
-    parts[map_.ShardForValue(row[map_.sort_dim()])].push_back(row);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (parts[s].empty()) continue;
-    FLOOD_RETURN_IF_ERROR(shards_[s]->InsertBatch(parts[s]));
+  StatusOr<std::vector<ShardRows>> groups = map_.SplitRows(rows);
+  FLOOD_RETURN_IF_ERROR(groups.status());
+  for (const ShardRows& group : *groups) {
+    FLOOD_RETURN_IF_ERROR(shards_[group.shard]->InsertBatch(group.rows));
   }
   return Status::OK();
 }
 
 StatusOr<size_t> ShardedDatabase::Delete(const std::vector<Value>& key) {
-  FLOOD_RETURN_IF_ERROR(ValidateArity(key.size(), "key"));
-  return shards_[map_.ShardForValue(key[map_.sort_dim()])]->Delete(key);
+  StatusOr<std::vector<ShardRows>> groups = map_.SplitRows(std::span(&key, 1));
+  FLOOD_RETURN_IF_ERROR(groups.status());
+  return shards_[groups->front().shard]->Delete(key);
 }
 
 // --- Introspection -----------------------------------------------------------

@@ -41,10 +41,10 @@ struct ShardedDatabaseOptions {
 /// an unsharded Database over the same table — tests/shard_map_test.cc
 /// enforces this for every registered index with writes in flight.
 ///
-/// This is the in-process counterpart of the serving router
-/// (src/serve/router.h): the router speaks to shards over the wire, this
-/// class calls them directly; both route through the same ShardMap. Use
-/// shard(i) to hand the shards to serve::LocalShardBackend.
+/// Batch planning and write splitting are ShardMap::Plan and SplitRows,
+/// shared with the serving router (src/serve/router.h). A malformed write
+/// batch is rejected before any shard applies a row. Use shard(i) to hand
+/// the shards to serve::DatabaseEngine.
 ///
 /// Thread safety: same as Database — each shard has its own reader-writer
 /// delta seam, so concurrent reads and writes to *different* shards never
@@ -89,9 +89,9 @@ class ShardedDatabase {
   /// Routes the row to the shard owning row[sort_dim].
   Status Insert(const std::vector<Value>& row);
   /// Partitions the rows by sort-dim value and forwards one InsertBatch
-  /// per shard. Not atomic across shards: on a shard failure, rows routed
-  /// to shards that already committed stay applied and the first error is
-  /// returned.
+  /// per shard. Rows of the wrong arity fail the batch before any shard
+  /// applies one; past that, a shard failure leaves rows routed to shards
+  /// that already committed applied and returns the first error.
   Status InsertBatch(std::span<const std::vector<Value>> rows);
   /// Full-tuple delete: the key's sort-dim value pins it to one shard.
   StatusOr<size_t> Delete(const std::vector<Value>& key);
@@ -123,7 +123,7 @@ class ShardedDatabase {
         shards_(std::move(shards)),
         num_dims_(num_dims) {}
 
-  Status ValidateArity(size_t got, const char* what) const;
+  Status ValidateArity(const Query& query) const;
 
   /// Per-shard global-id offsets under the current snapshot: shard s's
   /// local ids live at [offsets[s], offsets[s] + width(s)).

@@ -59,6 +59,12 @@ inline int64_t CeilDiv(int64_t a, int64_t b) {
   return (a + b - 1) / b;
 }
 
+/// a + b wrapping like uint64 (no signed-overflow UB), as SUM accumulates.
+inline int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 }  // namespace flood
 
 #endif  // FLOOD_COMMON_MATH_UTIL_H_

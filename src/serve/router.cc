@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "common/math_util.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 
@@ -56,55 +57,35 @@ std::unique_ptr<Router> Router::Over(ShardedDatabase* db) {
 
 void Router::RunBatchAsync(std::vector<Query> queries,
                            std::function<void(EngineBatchResult)> on_done) {
-  const size_t num_shards = backends_.size();
-  batches_routed_.fetch_add(1, std::memory_order_relaxed);
-  queries_routed_.fetch_add(queries.size(), std::memory_order_relaxed);
-
   auto g = std::make_shared<Gather>();
   g->on_done = std::move(on_done);
+  ShardPlan plan = map_.Plan(queries);
+  batches_routed_.fetch_add(1, std::memory_order_relaxed);
+  queries_routed_.fetch_add(queries.size(), std::memory_order_relaxed);
+  subqueries_sent_.fetch_add(plan.sent, std::memory_order_relaxed);
+  subqueries_pruned_.fetch_add(plan.pruned, std::memory_order_relaxed);
+  queries_skipped_empty_.fetch_add(plan.empty.size(),
+                                   std::memory_order_relaxed);
+  obs::GlobalRouterMetrics().subqueries->Add(plan.sent);
+  obs::GlobalRouterMetrics().subqueries_pruned->Add(plan.pruned);
+
   g->merged.results.resize(queries.size());
-  g->origin.resize(num_shards);
-  g->parts.resize(num_shards);
-
-  // Plan: intersect each query's sort-dim filter with the shard map.
-  std::vector<std::vector<Query>> sub(num_shards);
-  uint64_t sent = 0;
-  uint64_t pruned = 0;
-  uint64_t empties = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = queries[i];
-    EngineQueryResult& m = g->merged.results[i];
-    m.kind = q.agg().kind == AggSpec::Kind::kSum ? 1 : 0;
-    if (q.IsEmpty()) {
-      // Answered right here: an empty range matches nothing on any shard.
-      m.skipped_empty = true;
-      ++empties;
-      continue;
-    }
-    const auto [first, last] = map_.ShardsForQuery(q);
-    pruned += num_shards - (last - first + 1);
-    for (size_t s = first; s <= last; ++s) {
-      sub[s].push_back(q);
-      g->origin[s].push_back(i);
-      ++sent;
-      per_shard_subqueries_[s].fetch_add(1, std::memory_order_relaxed);
-    }
+    g->merged.results[i].kind =
+        queries[i].agg().kind == AggSpec::Kind::kSum ? 1 : 0;
   }
-  subqueries_sent_.fetch_add(sent, std::memory_order_relaxed);
-  subqueries_pruned_.fetch_add(pruned, std::memory_order_relaxed);
-  queries_skipped_empty_.fetch_add(empties, std::memory_order_relaxed);
-  obs::GlobalRouterMetrics().subqueries->Add(sent);
-  obs::GlobalRouterMetrics().subqueries_pruned->Add(pruned);
-
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!sub[s].empty()) g->active.push_back(s);
+  // Answered right here: an empty range matches nothing on any shard.
+  for (const size_t i : plan.empty) g->merged.results[i].skipped_empty = true;
+  g->origin = std::move(plan.origin);
+  g->parts.resize(backends_.size());
+  for (size_t s = 0; s < backends_.size(); ++s) {
+    if (plan.sub[s].empty()) continue;
+    g->active.push_back(s);
+    per_shard_subqueries_[s].fetch_add(plan.sub[s].size(),
+                                       std::memory_order_relaxed);
   }
-  if (g->active.empty()) {
-    // Nothing to scatter (all queries empty, or an empty batch).
-    g->merged.wall_ms = g->wall.ElapsedMillis();
-    g->on_done(std::move(g->merged));
-    return;
-  }
+  // Nothing to scatter (all queries empty, or an empty batch).
+  if (g->active.empty()) return Finish(g.get());
 
   // Scatter. pending is set BEFORE any dispatch: a backend may complete
   // inline (a pool-less local shard), and its decrement must not reach
@@ -112,7 +93,7 @@ void Router::RunBatchAsync(std::vector<Query> queries,
   g->pending.store(g->active.size(), std::memory_order_relaxed);
   for (const size_t s : g->active) {
     backends_[s]->RunBatchAsync(
-        std::move(sub[s]), [this, g, s](EngineBatchResult part) {
+        std::move(plan.sub[s]), [this, g, s](EngineBatchResult part) {
           // Per-shard fan-out latency: scatter start -> this shard's reply.
           obs::GlobalRouterMetrics().fanout_ns->Record(g->wall.ElapsedNanos());
           g->parts[s] = std::move(part);
@@ -167,11 +148,8 @@ void Router::Finish(Gather* g) {
         continue;
       }
       // COUNT/SUM add across shards: every row lives in exactly one.
-      // Wrapping uint64 arithmetic keeps adversarial sums defined, like a
-      // single database's accumulator.
       m.count += er.count;
-      m.sum = static_cast<int64_t>(static_cast<uint64_t>(m.sum) +
-                                   static_cast<uint64_t>(er.sum));
+      m.sum = WrappingAdd(m.sum, er.sum);
       // Shards ran in parallel: the slowest is the critical path.
       m.total_ns = std::max(m.total_ns, er.total_ns);
     }
@@ -182,48 +160,27 @@ void Router::Finish(Gather* g) {
 
 // --- Writes ------------------------------------------------------------------
 
-Status Router::RouteKeyShard(const std::vector<Value>& key,
-                             size_t* shard) const {
-  if (map_.sort_dim() >= key.size()) {
-    return Status::InvalidArgument(
-        "row/key has " + std::to_string(key.size()) +
-        " values but the shard map routes on dimension " +
-        std::to_string(map_.sort_dim()));
-  }
-  *shard = map_.ShardForValue(key[map_.sort_dim()]);
-  return Status::OK();
-}
-
 Status Router::Insert(const std::vector<Value>& row) {
-  size_t shard = 0;
-  FLOOD_RETURN_IF_ERROR(RouteKeyShard(row, &shard));
-  writes_routed_.fetch_add(1, std::memory_order_relaxed);
-  return backends_[shard]->Insert(row);
+  return InsertBatch(std::span(&row, 1));
 }
 
 Status Router::InsertBatch(std::span<const std::vector<Value>> rows) {
-  std::vector<std::vector<std::vector<Value>>> parts(backends_.size());
-  for (const auto& row : rows) {
-    size_t shard = 0;
-    FLOOD_RETURN_IF_ERROR(RouteKeyShard(row, &shard));
-    parts[shard].push_back(row);
-  }
+  StatusOr<std::vector<ShardRows>> groups = map_.SplitRows(rows);
+  FLOOD_RETURN_IF_ERROR(groups.status());
   writes_routed_.fetch_add(1, std::memory_order_relaxed);
   // Not atomic across shards: a failure leaves earlier shards' rows
-  // applied and reports the first error (same contract as
-  // ShardedDatabase::InsertBatch).
-  for (size_t s = 0; s < backends_.size(); ++s) {
-    if (parts[s].empty()) continue;
-    FLOOD_RETURN_IF_ERROR(backends_[s]->InsertBatch(parts[s]));
+  // applied and reports the first error.
+  for (const ShardRows& group : *groups) {
+    FLOOD_RETURN_IF_ERROR(backends_[group.shard]->InsertBatch(group.rows));
   }
   return Status::OK();
 }
 
 StatusOr<uint64_t> Router::Delete(const std::vector<Value>& key) {
-  size_t shard = 0;
-  FLOOD_RETURN_IF_ERROR(RouteKeyShard(key, &shard));
+  StatusOr<std::vector<ShardRows>> groups = map_.SplitRows(std::span(&key, 1));
+  FLOOD_RETURN_IF_ERROR(groups.status());
   writes_routed_.fetch_add(1, std::memory_order_relaxed);
-  return backends_[shard]->Delete(key);
+  return backends_[groups->front().shard]->Delete(key);
 }
 
 // --- Health & introspection ----------------------------------------------------
@@ -330,11 +287,7 @@ class RemoteEngine : public BatchEngine {
   }
 
   Status Insert(const std::vector<Value>& row) override {
-    std::lock_guard<std::mutex> lock(control_mu_);
-    FLOOD_RETURN_IF_ERROR(EnsureControlLocked());
-    const Status status = control_->Insert(row);
-    MaybePoisonControlLocked(status);
-    return status;
+    return InsertBatch(std::span(&row, 1));
   }
 
   Status InsertBatch(std::span<const std::vector<Value>> rows) override {

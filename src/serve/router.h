@@ -39,11 +39,11 @@ struct RouterCounters {
 /// exactly like a single Database — framing, per-connection batching,
 /// admission control and drain all reuse the PR 6 loop.
 ///
-/// Planning: each query's sort-dim filter interval is intersected with the
-/// ShardMap; only shards whose range overlaps receive the query (the rest
-/// are pruned — provably zero matches). Queries that do not filter the
-/// sort dimension broadcast to every shard; empty queries are answered
-/// locally without touching any shard.
+/// Planning is ShardMap::Plan, shared with ShardedDatabase::RunBatch: each
+/// query's sort-dim filter interval is intersected with the map; only
+/// shards whose range overlaps receive the query (the rest are pruned —
+/// provably zero matches). Queries that do not filter the sort dimension
+/// broadcast to every shard; empty queries are answered locally.
 ///
 /// Gathering: each shard executes its sub-batch asynchronously and the
 /// replies land in preallocated per-shard slots (request_id matching is
@@ -61,9 +61,9 @@ struct RouterCounters {
 /// while sibling frames in the same group still get results. The router
 /// itself never sheds; admission control stays in the front-end server.
 ///
-/// Writes route to exactly one shard by the row's sort-dim value (no
-/// cross-shard transactions: InsertBatch splits per shard and is not
-/// atomic across them). Health() fans out: ready iff every shard is ready,
+/// Writes route by ShardMap::SplitRows, like ShardedDatabase's: a malformed
+/// InsertBatch fails before any shard applies a row; a valid one is not
+/// atomic across shards. Health() fans out: ready iff every shard is ready,
 /// poisoned if any shard is. Introspect() returns router.* counters plus
 /// every shard's map under a "shard<i>." prefix.
 ///
@@ -105,8 +105,6 @@ class Router : public BatchEngine {
   /// Merges the gathered per-shard replies and fires on_done; runs on
   /// whichever thread delivered the final shard reply.
   void Finish(Gather* g);
-
-  Status RouteKeyShard(const std::vector<Value>& key, size_t* shard) const;
 
   ShardMap map_;
   std::vector<std::unique_ptr<BatchEngine>> backends_;

@@ -372,6 +372,60 @@ TEST(ServeRouterTest, WireWritesRouteByKeyAndStatsHealthMerge) {
 }
 
 // ---------------------------------------------------------------------------
+// A malformed InsertBatch is rejected whole: no shard applies any row, just
+// as an unsharded Database rejects the same batch.
+// ---------------------------------------------------------------------------
+
+TEST(ServeRouterTest, WireInsertBatchWithMixedArityAppliesNoRow) {
+  const Table table = MakeTable(DataShape::kUniform, 2'000, 3, 85);
+  StatusOr<ShardedDatabase> sharded = OpenSharded(table, "kdtree", 2);
+  ASSERT_TRUE(sharded.ok());
+  ASSERT_EQ(sharded->num_shards(), 2u);
+
+  std::unique_ptr<Router> router = Router::Over(&*sharded);
+  const ShardMap& map = router->shard_map();
+
+  ServerOptions sopts;
+  SocketPath sock("arity");
+  sopts.uds_path = sock.path;
+  auto server = Server::Create(router.get(), std::move(sopts));
+  ASSERT_TRUE(server.ok());
+  (*server)->Start();
+  auto client = Client::Connect("unix:" + sock.path);
+  ASSERT_TRUE(client.ok());
+
+  // A valid row for shard 0, then a 4-value row for shard 1 of a 3-dim
+  // table. Splitting shard by shard would commit the first row before
+  // shard 1 refused the second.
+  const Value k0 = map.RangeOf(0).hi;
+  const Value k1 = map.RangeOf(1).lo;
+  const std::vector<std::vector<Value>> mixed = {{k0, 1, 1}, {k1, 2, 2, 2}};
+  const Status status = client->InsertBatch(mixed);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(sharded->shard(s)->delta_inserts(), 0u) << "shard " << s;
+  }
+
+  // Every row with the same wrong arity: the first shard rejects the
+  // batch before anything is applied.
+  const std::vector<std::vector<Value>> wide = {{k0, 1, 1, 1}, {k1, 2, 2, 2}};
+  EXPECT_EQ(client->InsertBatch(wide).code(), StatusCode::kInvalidArgument);
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(sharded->shard(s)->delta_inserts(), 0u) << "shard " << s;
+  }
+
+  // The connection still serves a well-formed batch afterwards.
+  const std::vector<std::vector<Value>> good = {{k0, 1, 1}, {k1, 2, 2}};
+  ASSERT_TRUE(client->InsertBatch(good).ok());
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(sharded->shard(s)->delta_inserts(), 1u) << "shard " << s;
+  }
+
+  (*server)->Shutdown();
+  (*server)->Join();
+}
+
+// ---------------------------------------------------------------------------
 // Partial shed: an overloaded shard fails ONLY the queries routed to it.
 // ---------------------------------------------------------------------------
 

@@ -150,6 +150,134 @@ TEST(ShardMapTest, FromQuantilesSingleShardAndToString) {
 }
 
 // ---------------------------------------------------------------------------
+// ShardMap: batch planning and write splitting.
+// ---------------------------------------------------------------------------
+
+using Rows = std::vector<std::vector<Value>>;
+
+Query PinnedQuery(Value v) {
+  Query q(3);
+  q.SetEquals(0, v);
+  return q;
+}
+
+TEST(ShardMapTest, PlanKeepsBatchOrderInsideEachSubBatch) {
+  StatusOr<ShardMap> map = ShardMap::FromBounds(0, {100, 500});
+  ASSERT_TRUE(map.ok());
+  const std::vector<Query> queries = {PinnedQuery(600), PinnedQuery(50),
+                                      PinnedQuery(700), PinnedQuery(150),
+                                      PinnedQuery(20)};
+  const ShardPlan plan = map->Plan(queries);
+  ASSERT_EQ(plan.sub.size(), 3u);
+  ASSERT_EQ(plan.origin.size(), 3u);
+  EXPECT_EQ(plan.origin[0], (std::vector<size_t>{1, 4}));
+  EXPECT_EQ(plan.origin[1], (std::vector<size_t>{3}));
+  EXPECT_EQ(plan.origin[2], (std::vector<size_t>{0, 2}));
+  for (size_t s = 0; s < 3; ++s) {
+    ASSERT_EQ(plan.sub[s].size(), plan.origin[s].size()) << "shard " << s;
+    for (size_t j = 0; j < plan.sub[s].size(); ++j) {
+      EXPECT_EQ(plan.sub[s][j].range(0).lo,
+                queries[plan.origin[s][j]].range(0).lo)
+          << "shard " << s << " sub-query " << j;
+    }
+  }
+  EXPECT_TRUE(plan.empty.empty());
+}
+
+TEST(ShardMapTest, PlanSendsEmptyQueriesToNoShard) {
+  StatusOr<ShardMap> map = ShardMap::FromBounds(0, {100, 500});
+  ASSERT_TRUE(map.ok());
+  Query empty(3);
+  empty.SetRange(1, 10, 5);  // lo > hi on a non-sort dim: matches nothing.
+  Query empty_sort(3);
+  empty_sort.SetRange(0, 300, 200);
+  const std::vector<Query> queries = {empty, PinnedQuery(250), empty_sort};
+  const ShardPlan plan = map->Plan(queries);
+  EXPECT_EQ(plan.empty, (std::vector<size_t>{0, 2}));
+  EXPECT_TRUE(plan.sub[0].empty());
+  EXPECT_EQ(plan.origin[1], (std::vector<size_t>{1}));
+  EXPECT_TRUE(plan.sub[2].empty());
+  EXPECT_EQ(plan.sent, 1u);
+  EXPECT_EQ(plan.pruned, 2u);
+}
+
+TEST(ShardMapTest, PlanSendsQueriesWithoutSortDimFilterToEveryShard) {
+  StatusOr<ShardMap> map = ShardMap::FromBounds(0, {100, 500});
+  ASSERT_TRUE(map.ok());
+  Query unfiltered(3);
+  unfiltered.SetRange(1, 0, 10);
+  const ShardPlan plan = map->Plan(std::vector<Query>{unfiltered});
+  for (size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(plan.origin[s], (std::vector<size_t>{0})) << "shard " << s;
+  }
+  EXPECT_EQ(plan.sent, 3u);
+  EXPECT_EQ(plan.pruned, 0u);
+}
+
+TEST(ShardMapTest, PlanPrunedIsShardCountMinusShardsHit) {
+  const Table table = MakeTable(DataShape::kUniform, 2'000, 3, 61);
+  const ShardMap map = ShardMap::FromQuantiles(table, 0, 4);
+  ASSERT_EQ(map.num_shards(), 4u);
+  std::vector<Query> queries;
+  for (size_t i = 0; i < 40; ++i) queries.push_back(RandomQuery(table, 70 + i));
+  const ShardPlan plan = map.Plan(queries);
+
+  uint64_t want_sent = 0;
+  uint64_t want_pruned = 0;
+  for (const Query& q : queries) {
+    if (q.IsEmpty()) continue;
+    const auto [first, last] = map.ShardsForQuery(q);
+    want_sent += last - first + 1;
+    want_pruned += map.num_shards() - (last - first + 1);
+  }
+  uint64_t sub_total = 0;
+  for (const std::vector<Query>& sub : plan.sub) sub_total += sub.size();
+  EXPECT_EQ(plan.sent, want_sent);
+  EXPECT_EQ(plan.sent, sub_total);
+  EXPECT_EQ(plan.pruned, want_pruned);
+  EXPECT_GT(plan.pruned, 0u);
+}
+
+TEST(ShardMapTest, SplitRowsPutsEachRowInItsOwnersGroup) {
+  StatusOr<ShardMap> map = ShardMap::FromBounds(1, {10, 50});
+  ASSERT_TRUE(map.ok());
+  const Rows rows = {{0, 60, 1}, {1, 5, 2}, {2, 70, 3}, {3, 49, 4}, {4, 9, 5}};
+  StatusOr<std::vector<ShardRows>> groups = map->SplitRows(rows);
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  ASSERT_EQ(groups->size(), 3u);
+  size_t total = 0;
+  for (size_t g = 0; g < groups->size(); ++g) {
+    const ShardRows& group = (*groups)[g];
+    EXPECT_EQ(group.shard, g);  // Shard order, no empty group.
+    for (const std::vector<Value>& row : group.rows) {
+      EXPECT_EQ(map->ShardForValue(row[1]), group.shard);
+    }
+    total += group.rows.size();
+  }
+  EXPECT_EQ(total, rows.size());
+  // Batch order inside a group.
+  EXPECT_EQ((*groups)[0].rows, (Rows{{1, 5, 2}, {4, 9, 5}}));
+  EXPECT_EQ((*groups)[1].rows, (Rows{{3, 49, 4}}));
+  EXPECT_EQ((*groups)[2].rows, (Rows{{0, 60, 1}, {2, 70, 3}}));
+
+  // Shards that get no row are left out.
+  StatusOr<std::vector<ShardRows>> one = map->SplitRows(Rows{{9, 30, 9}});
+  ASSERT_TRUE(one.ok());
+  ASSERT_EQ(one->size(), 1u);
+  EXPECT_EQ(one->front().shard, 1u);
+}
+
+TEST(ShardMapTest, SplitRowsRejectsShortRowsAndMixedLengths) {
+  StatusOr<ShardMap> map = ShardMap::FromBounds(2, {100});
+  ASSERT_TRUE(map.ok());
+  EXPECT_EQ(map->SplitRows(Rows{{1, 2}}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(map->SplitRows(Rows{{1, 2, 3}, {1, 2, 300, 4}}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(map->SplitRows(Rows{}).ok());
+}
+
+// ---------------------------------------------------------------------------
 // ShardedDatabase: bit-equivalence to one unsharded Database.
 // ---------------------------------------------------------------------------
 
