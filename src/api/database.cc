@@ -219,22 +219,13 @@ void Database::RecordQueryLocked(const Query& query) {
 }
 
 void Database::NoteQueryMetrics(const QueryResult& result) const {
+  if (result.skipped_empty) return;
   obs::DbMetrics& m = obs::GlobalDbMetrics();
-  if (result.skipped_empty) {
-    m.empty_skipped->Add(1);
-    return;
-  }
   const QueryStats& s = result.stats;
-  m.queries->Add(1);
   m.query_ns->Record(s.total_ns);
   m.plan_ns->Record(s.index_ns);
   m.scan_ns->Record(s.scan_ns);
   m.delta_merge_ns->Record(s.delta_ns);
-  m.points_scanned->Add(s.points_scanned);
-  m.blocks_skipped->Add(s.blocks_skipped);
-  m.blocks_exact->Add(s.blocks_exact);
-  m.simd_blocks->Add(s.simd_blocks);
-  m.delta_rows_scanned->Add(s.delta_rows_scanned);
   if (options_.slow_query_ns > 0 && s.total_ns > options_.slow_query_ns) {
     m.slow_queries->Add(1);
     char line[512];
@@ -425,6 +416,12 @@ void Database::FoldBatchTelemetry(std::span<const Query> queries,
 
 void Database::RunBatchAsync(std::span<const Query> queries,
                              std::function<void(BatchResult)> on_done) {
+  if (pool_ == nullptr) {
+    // No pool (num_threads == 1): the synchronous path, completed before
+    // this returns. RunBatch validates the batch itself.
+    on_done(RunBatch(queries));
+    return;
+  }
   {
     Status status = ValidateBatch(queries);
     if (!status.ok()) {
@@ -433,12 +430,6 @@ void Database::RunBatchAsync(std::span<const Query> queries,
       on_done(std::move(batch));
       return;
     }
-  }
-  if (pool_ == nullptr) {
-    // No pool (num_threads == 1): the synchronous path, completed before
-    // this returns.
-    on_done(RunBatch(queries));
-    return;
   }
 
   // Shared completion state: shards decrement `remaining`, and whichever

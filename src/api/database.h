@@ -557,10 +557,11 @@ class Database {
 
   void RecordTelemetry(const Query& query, const QueryResult& result);
 
-  /// Lock-free per-query observability fold: process-wide histograms and
-  /// counters (src/obs/) plus the slow-query trace. Called once per
-  /// executed query, on the thread that ran it — from RunShard's loop for
-  /// batches, from RecordTelemetry for single Run/Collect.
+  /// Lock-free per-query observability fold: process-wide latency
+  /// histograms (src/obs/) plus the slow-query counter and trace; the
+  /// per-query counters live only in the cumulative QueryStats. Called
+  /// once per executed query, on the thread that ran it — from RunShard's
+  /// loop for batches, from RecordTelemetry for single Run/Collect.
   void NoteQueryMetrics(const QueryResult& result) const;
 
   /// Folds a finished batch into the cumulative telemetry + history ring;

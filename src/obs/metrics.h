@@ -1,20 +1,20 @@
 #pragma once
-// Process-wide metrics: thread-sharded counters/gauges and a log-bucketed
+// Process-wide metrics: thread-sharded counters and a log-bucketed
 // histogram behind a name-keyed registry.
 //
 // Design contract (see docs/metrics.md for the metric catalog):
 //
 //  - Recording is lock-free and allocation-free: counters and histograms
 //    are sharded across cache-line-aligned cells indexed by a per-thread
-//    slot, all updates relaxed atomics. Gauges are a single atomic (they
-//    are set from one place at low frequency, not accumulated on hot
-//    paths).
+//    slot, all updates relaxed atomics. Point-in-time values (connection
+//    counts, queue depths) are not registry metrics: they come from each
+//    instance's Introspect() map.
 //  - `HistogramData` is the plain, copyable, *non-atomic* form of a
 //    histogram: the snapshot type, the wire type, and the type callers
 //    use for local exact-ish percentiles (e.g. `BatchResult`). It is
 //    ALWAYS compiled, even with -DFLOOD_METRICS=OFF.
 //  - `Histogram` is the registry-backed concurrent recorder. With
-//    -DFLOOD_METRICS=OFF every mutator on Counter/Gauge/Histogram
+//    -DFLOOD_METRICS=OFF every mutator on Counter/Histogram
 //    compiles to nothing (`kEnabled` is false), mirroring the
 //    FLOOD_FAILPOINTS pattern; readers then see zeros.
 //  - Buckets are log-linear: 4 sub-buckets per power of two, so every
@@ -143,22 +143,6 @@ class Counter {
   Cell cells_[kShards];
 };
 
-class Gauge {
- public:
-  void Set(int64_t v) {
-    if constexpr (kEnabled) v_.store(v, std::memory_order_relaxed);
-    else (void)v;
-  }
-  void Add(int64_t d) {
-    if constexpr (kEnabled) v_.fetch_add(d, std::memory_order_relaxed);
-    else (void)d;
-  }
-  int64_t Value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> v_{0};
-};
-
 class Histogram {
  public:
   void Record(int64_t v) {
@@ -197,6 +181,8 @@ class Histogram {
 // Registry
 // ---------------------------------------------------------------------------
 
+// The registry holds counters and histograms; kGauge is the snapshot kind
+// of a point-in-time value, kept in the wire and exposition formats.
 enum class MetricKind : uint8_t { kCounter = 0, kGauge = 1, kHistogram = 2 };
 
 struct MetricSnapshot {
@@ -216,7 +202,6 @@ class MetricsRegistry {
   static MetricsRegistry& Instance();
 
   Counter* RegisterCounter(const std::string& name, const std::string& help);
-  Gauge* RegisterGauge(const std::string& name, const std::string& help);
   Histogram* RegisterHistogram(const std::string& name,
                                const std::string& help);
 
@@ -236,6 +221,11 @@ class MetricsRegistry {
 
 // ---------------------------------------------------------------------------
 // Per-layer handle bundles (registered once, on first use)
+//
+// Only histograms and the counters with no per-instance twin live here.
+// Per-instance counters (Database QueryStats, ServerCounters,
+// RouterCounters) are stored once, in their owner, and reach the scrape
+// and kMetrics `entries` through Introspect().
 // ---------------------------------------------------------------------------
 
 struct DbMetrics {
@@ -247,14 +237,7 @@ struct DbMetrics {
   Histogram* delta_merge_ns;       // stage: delta-buffer merge
   Histogram* compaction_pause_ns;  // exclusive-lock compaction pause
   Histogram* checkpoint_ns;        // Save() snapshot duration
-  Counter* queries;
   Counter* slow_queries;
-  Counter* empty_skipped;
-  Counter* points_scanned;
-  Counter* blocks_skipped;  // zone-map classify: skipped without decode
-  Counter* blocks_exact;    // zone-map classify: accepted without refine
-  Counter* simd_blocks;
-  Counter* delta_rows_scanned;
 };
 DbMetrics& GlobalDbMetrics();
 
@@ -263,16 +246,12 @@ struct ServeMetrics {
   Histogram* exec_ns;        // engine execution time, per group
   Histogram* queue_wait_ns;  // frame_ns - exec_ns (admission + pool queue)
   Histogram* batch_queries;  // queries folded into one engine group
-  Gauge* connections;
-  Counter* frames;
   Counter* scrapes;  // HTTP /metrics hits
 };
 ServeMetrics& GlobalServeMetrics();
 
 struct RouterMetrics {
   Histogram* fanout_ns;  // scatter -> each shard reply, per shard
-  Counter* subqueries;
-  Counter* subqueries_pruned;
 };
 RouterMetrics& GlobalRouterMetrics();
 

@@ -45,7 +45,7 @@ std::vector<std::pair<std::string, double>> DatabaseGauges(
       static_cast<double>(persist::DirFsyncFailures()));
   put("db.num_threads", static_cast<double>(db.num_threads()));
   // Cumulative QueryStats: every counter and timing the execution layer
-  // tracks is surfaced here, so the wire Stats map stays a faithful
+  // tracks is surfaced here, so the kMetrics entries stay a faithful
   // superset of what a local caller can read (metrics_test diffs the key
   // set against QueryStats to catch fields added on one side only).
   const QueryStats qs = db.cumulative_stats();

@@ -76,8 +76,8 @@ class BatchEngine {
   virtual EngineHealth Health() const = 0;
 
   /// Flat key->value gauges appended to the server's serve.* counters in
-  /// Stats responses (db.* for a database engine, router.*/shard<i>.* for
-  /// a router).
+  /// kMetrics `entries` and on the scrape (db.* for a database engine,
+  /// router.*/shard<i>.* for a router).
   virtual std::vector<std::pair<std::string, double>> Introspect() const = 0;
 };
 
@@ -86,7 +86,7 @@ class BatchEngine {
 EngineBatchResult EngineResultFromBatch(const BatchResult& batch);
 
 /// The db.* gauge block shared by DatabaseEngine and anything else that
-/// exposes one database's state through a Stats map.
+/// exposes one database's state through an Introspect() map.
 std::vector<std::pair<std::string, double>> DatabaseGauges(const Database& db);
 
 /// BatchEngine over one local flood::Database — the single-node serving

@@ -53,7 +53,7 @@ std::string FormatMetricsSummary(const MetricsResponse& resp) {
     out.append(line);
   }
   std::snprintf(line, sizeof(line),
-                "-- %zu flat introspection entries (see kStats) --\n",
+                "-- %zu flat introspection entries --\n",
                 resp.entries.size());
   out.append(line);
   return out;

@@ -224,11 +224,6 @@ void AppendDelete(const DeleteRequest& req, std::string* out) {
   });
 }
 
-void AppendStats(const StatsRequest& req, std::string* out) {
-  AppendWith(MessageType::kStats, out,
-             [&](ByteWriter* w) { w->PutU64(req.request_id); });
-}
-
 void AppendHealth(const HealthRequest& req, std::string* out) {
   AppendWith(MessageType::kHealth, out,
              [&](ByteWriter* w) { w->PutU64(req.request_id); });
@@ -278,17 +273,6 @@ void AppendWriteAck(const WriteAckResponse& resp, std::string* out) {
     w->PutU8(static_cast<uint8_t>(resp.code));
     w->PutString(resp.message);
     w->PutU64(resp.deleted);
-  });
-}
-
-void AppendStatsResult(const StatsResponse& resp, std::string* out) {
-  AppendWith(MessageType::kStatsResult, out, [&](ByteWriter* w) {
-    w->PutU64(resp.request_id);
-    w->PutU32(static_cast<uint32_t>(resp.entries.size()));
-    for (const auto& [key, value] : resp.entries) {
-      w->PutString(key);
-      w->PutF64(value);
-    }
   });
 }
 
@@ -388,13 +372,6 @@ StatusOr<DeleteRequest> ParseDelete(std::string_view payload) {
   req.request_id = r.GetU64();
   if (!GetRow(&r, &req.key)) return ParseFailed("Delete");
   return Finish(r, std::move(req), "Delete");
-}
-
-StatusOr<StatsRequest> ParseStats(std::string_view payload) {
-  ByteReader r(payload);
-  StatsRequest req;
-  req.request_id = r.GetU64();
-  return Finish(r, std::move(req), "Stats");
 }
 
 StatusOr<HealthRequest> ParseHealth(std::string_view payload) {
@@ -521,23 +498,6 @@ StatusOr<WriteAckResponse> ParseWriteAck(std::string_view payload) {
   resp.message = r.GetString();
   resp.deleted = r.GetU64();
   return Finish(r, std::move(resp), "WriteAck");
-}
-
-StatusOr<StatsResponse> ParseStatsResult(std::string_view payload) {
-  ByteReader r(payload);
-  StatsResponse resp;
-  resp.request_id = r.GetU64();
-  const uint32_t n = r.GetU32();
-  // >= 12 bytes per entry (empty key).
-  if (static_cast<size_t>(n) * 12 > r.remaining()) {
-    return ParseFailed("StatsResult");
-  }
-  resp.entries.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    resp.entries[i].first = r.GetString();
-    resp.entries[i].second = r.GetF64();
-  }
-  return Finish(r, std::move(resp), "StatsResult");
 }
 
 StatusOr<ErrorResponse> ParseError(std::string_view payload) {

@@ -66,8 +66,6 @@ void Router::RunBatchAsync(std::vector<Query> queries,
   subqueries_pruned_.fetch_add(plan.pruned, std::memory_order_relaxed);
   queries_skipped_empty_.fetch_add(plan.empty.size(),
                                    std::memory_order_relaxed);
-  obs::GlobalRouterMetrics().subqueries->Add(plan.sent);
-  obs::GlobalRouterMetrics().subqueries_pruned->Add(plan.pruned);
 
   g->merged.results.resize(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -327,10 +325,9 @@ class RemoteEngine : public BatchEngine {
   std::vector<std::pair<std::string, double>> Introspect() const override {
     std::lock_guard<std::mutex> lock(control_mu_);
     if (EnsureControlLocked().ok()) {
-      StatusOr<std::vector<std::pair<std::string, double>>> stats =
-          control_->Stats();
-      MaybePoisonControlLocked(stats.status());
-      if (stats.ok()) return std::move(*stats);
+      StatusOr<MetricsResponse> resp = control_->Metrics();
+      MaybePoisonControlLocked(resp.status());
+      if (resp.ok()) return std::move(resp->entries);
     }
     return {{"unreachable", 1.0}};
   }

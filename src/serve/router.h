@@ -127,7 +127,7 @@ class Router : public BatchEngine {
 /// Connections are lazy: creation always succeeds, the first operation
 /// connects (use Health() / `flood_router --check` to probe). Two
 /// channels per backend: batches run on a dedicated worker thread (the
-/// blocking client never stalls the caller), writes/health/stats go over
+/// blocking client never stalls the caller), writes/health/metrics go over
 /// a separate mutex-guarded control connection called inline — bounded by
 /// the ClientOptions deadlines. A transport error poisons the affected
 /// channel's connection; the next operation reconnects. Destruction

@@ -346,8 +346,6 @@ Status Server::Loop() {
       by_id_.erase(it->second->id);
       conns_.erase(it);
       counters_.connections_active.fetch_sub(1, std::memory_order_relaxed);
-      obs::GlobalServeMetrics().connections->Set(static_cast<int64_t>(
-          counters_.connections_active.load(std::memory_order_relaxed)));
     }
 
     if (draining_ && draining_done()) loop_done_ = true;
@@ -455,8 +453,6 @@ void Server::HandleAccept(int listener_fd) {
     }
     counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
     counters_.connections_active.fetch_add(1, std::memory_order_relaxed);
-    obs::GlobalServeMetrics().connections->Set(static_cast<int64_t>(
-        counters_.connections_active.load(std::memory_order_relaxed)));
     by_id_[conn->id] = conn.get();
     conns_[fd] = std::move(conn);
   }
@@ -746,19 +742,10 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
       AppendWriteAck(ack, &conn->outbuf);
       return;
     }
-    case MessageType::kStats: {
-      StatusOr<StatsRequest> req = ParseStats(frame.payload);
-      if (!req.ok()) break;
-      StatsResponse resp;
-      resp.request_id = req->request_id;
-      resp.entries = Introspect();
-      AppendStatsResult(resp, &conn->outbuf);
-      return;
-    }
     case MessageType::kMetrics: {
       StatusOr<MetricsRequest> req = ParseMetrics(frame.payload);
       if (!req.ok()) break;
-      // Answered inline like Stats: a full typed snapshot (every registry
+      // Answered inline like Health: a full typed snapshot (every registry
       // histogram with its buckets) plus the flat Introspect() map.
       MetricsResponse resp;
       resp.request_id = req->request_id;
@@ -803,7 +790,6 @@ void Server::SubmitGroup(Connection* conn, std::vector<GroupFrame> frames,
   counters_.batches_submitted.fetch_add(1, std::memory_order_relaxed);
   counters_.queries_executed.fetch_add(queries.size(),
                                        std::memory_order_relaxed);
-  obs::GlobalServeMetrics().frames->Add(frames.size());
   obs::GlobalServeMetrics().batch_queries->Record(
       static_cast<int64_t>(queries.size()));
   const uint64_t depth =
@@ -1039,7 +1025,7 @@ std::vector<std::pair<std::string, double>> Server::Introspect() const {
   put("serve.recv_errors", static_cast<double>(c.recv_errors));
   put("serve.send_errors", static_cast<double>(c.send_errors));
   put("serve.health_checks", static_cast<double>(c.health_checks));
-  // Engine gauges, same map: one Stats request observes the whole stack
+  // Engine gauges, same map: one kMetrics request observes the whole stack
   // (db.* for a database engine, router.*/shard<i>.* for a router).
   for (auto& entry : engine_->Introspect()) {
     entries.push_back(std::move(entry));

@@ -38,8 +38,8 @@ struct ServerOptions {
   /// Admission control: the bounded submission queue. At most this many
   /// batch groups may be submitted-but-unanswered across all connections;
   /// RunBatch frames arriving beyond it are shed with kOverloaded instead
-  /// of queueing unboundedly. Ping/Stats stay served from the event loop,
-  /// so an overloaded server remains observable.
+  /// of queueing unboundedly. Ping/Health/Metrics stay served from the
+  /// event loop, so an overloaded server remains observable.
   size_t max_inflight_batches = 64;
   /// Per-connection cap on submitted-but-unanswered RunBatch frames; the
   /// excess is shed with kOverloaded (one hog can't monopolize the queue).
@@ -57,8 +57,9 @@ struct ServerOptions {
   std::string metrics_addr;
 };
 
-/// Snapshot of the per-server counters (also flattened into the Stats wire
-/// response and Introspect(), keys "serve.*").
+/// Snapshot of the per-server counters (also flattened into Introspect(),
+/// keys "serve.*", which kMetrics `entries` and the scrape carry). This is
+/// the only store of these counters.
 struct ServerCounters {
   uint64_t connections_accepted = 0;
   uint64_t connections_active = 0;
@@ -161,7 +162,8 @@ class Server {
   /// plus the engine's gauges ("db.pending_writes", ... for a database,
   /// "router.*"/"shard<i>.*" for a router) — the same shape as the PR 5
   /// persistence telemetry and MultiDimIndex::DebugProperties, and exactly
-  /// what the Stats wire request returns.
+  /// the `entries` of a kMetrics reply. /metrics renders each entry as a
+  /// gauge named flood_<key> with the dot replaced by an underscore.
   std::vector<std::pair<std::string, double>> Introspect() const;
 
  private:

@@ -100,13 +100,17 @@ TEST(DatabaseAsyncTest, CallbackFiresOffCallerThreadExactlyOnce) {
 
 TEST(DatabaseAsyncTest, ValidationFailureCompletesWithoutExecuting) {
   const Table table = MakeTable(DataShape::kUniform, 1'000, 3, 34);
-  Database db = OpenDb(table, 4);
-  std::vector<Query> queries = {Query(2)};  // Arity mismatch: 2 != 3.
+  // Pool-less (1 thread, validated by the synchronous RunBatch) and pooled.
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    Database db = OpenDb(table, threads);
+    std::vector<Query> queries = {Query(2)};  // Arity mismatch: 2 != 3.
 
-  std::future<BatchResult> fut = db.RunBatchAsync(queries);
-  const BatchResult batch = fut.get();
-  EXPECT_FALSE(batch.status.ok());
-  EXPECT_TRUE(batch.results.empty());
+    std::future<BatchResult> fut = db.RunBatchAsync(queries);
+    const BatchResult batch = fut.get();
+    EXPECT_FALSE(batch.status.ok()) << "threads=" << threads;
+    EXPECT_TRUE(batch.results.empty()) << "threads=" << threads;
+    EXPECT_EQ(db.queries_run(), 0u) << "threads=" << threads;
+  }
 }
 
 TEST(DatabaseAsyncTest, ManyConcurrentAsyncBatchesMatchOracle) {

@@ -100,10 +100,9 @@ TEST(ServeProtocolTest, WriteRequestsRoundTrip) {
   ib.rows = {{9, 8, 7}, {-1, -2, -3}, {}};
   AppendInsertBatch(ib, &out);
   AppendDelete({7, {4, 5, 6}}, &out);
-  AppendStats({8}, &out);
 
   const std::vector<Frame> frames = Assemble(out);
-  ASSERT_EQ(frames.size(), 4u);
+  ASSERT_EQ(frames.size(), 3u);
 
   const StatusOr<InsertRequest> ins = ParseInsert(frames[0].payload);
   ASSERT_TRUE(ins.ok());
@@ -118,10 +117,6 @@ TEST(ServeProtocolTest, WriteRequestsRoundTrip) {
   const StatusOr<DeleteRequest> del = ParseDelete(frames[2].payload);
   ASSERT_TRUE(del.ok());
   EXPECT_EQ(del->key, (std::vector<Value>{4, 5, 6}));
-
-  const StatusOr<StatsRequest> stats = ParseStats(frames[3].payload);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->request_id, 8u);
 }
 
 TEST(ServeProtocolTest, BatchResultRoundTripIsBitExact) {
@@ -148,17 +143,13 @@ TEST(ServeProtocolTest, BatchResultRoundTripIsBitExact) {
   EXPECT_TRUE(parsed->results[2].skipped_empty);
 }
 
-TEST(ServeProtocolTest, ErrorAndAckAndStatsRoundTrip) {
+TEST(ServeProtocolTest, ErrorAndAckRoundTrip) {
   std::string out;
   AppendError({3, WireCode::kOverloaded, "queue full"}, &out);
   AppendWriteAck({4, WireCode::kOk, "", 17}, &out);
-  StatsResponse stats;
-  stats.request_id = 5;
-  stats.entries = {{"serve.frames_decoded", 12.0}, {"db.num_rows", 1e6}};
-  AppendStatsResult(stats, &out);
 
   const std::vector<Frame> frames = Assemble(out);
-  ASSERT_EQ(frames.size(), 3u);
+  ASSERT_EQ(frames.size(), 2u);
   const StatusOr<ErrorResponse> err = ParseError(frames[0].payload);
   ASSERT_TRUE(err.ok());
   EXPECT_EQ(err->code, WireCode::kOverloaded);
@@ -167,10 +158,6 @@ TEST(ServeProtocolTest, ErrorAndAckAndStatsRoundTrip) {
   const StatusOr<WriteAckResponse> ack = ParseWriteAck(frames[1].payload);
   ASSERT_TRUE(ack.ok());
   EXPECT_EQ(ack->deleted, 17u);
-
-  const StatusOr<StatsResponse> st = ParseStatsResult(frames[2].payload);
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(st->entries, stats.entries);
 }
 
 TEST(ServeProtocolTest, HealthRoundTrip) {
@@ -333,7 +320,7 @@ TEST(ServeProtocolTest, AssemblerHandlesArbitraryChunking) {
   rb.request_id = 2;
   rb.queries = {MakeQuery(3), MakeQuery(4)};
   AppendRunBatch(rb, &stream);
-  AppendStats({3}, &stream);
+  AppendMetrics({3}, &stream);
 
   // Every chunk size from 1 byte up must yield the same three frames.
   for (size_t chunk = 1; chunk <= stream.size(); chunk += 7) {
@@ -349,7 +336,7 @@ TEST(ServeProtocolTest, AssemblerHandlesArbitraryChunking) {
     ASSERT_EQ(frames.size(), 3u) << "chunk=" << chunk;
     EXPECT_EQ(frames[0].type, MessageType::kPing);
     EXPECT_EQ(frames[1].type, MessageType::kRunBatch);
-    EXPECT_EQ(frames[2].type, MessageType::kStats);
+    EXPECT_EQ(frames[2].type, MessageType::kMetrics);
   }
 }
 
@@ -504,11 +491,9 @@ TEST(ServeProtocolFuzzTest, RandomGarbagePayloadsNeverCrashParsers) {
     (void)ParseInsert(payload);
     (void)ParseInsertBatch(payload);
     (void)ParseDelete(payload);
-    (void)ParseStats(payload);
     (void)ParsePong(payload);
     (void)ParseBatchResult(payload);
     (void)ParseWriteAck(payload);
-    (void)ParseStatsResult(payload);
     (void)ParseHealth(payload);
     (void)ParseHealthResult(payload);
     (void)ParseMetrics(payload);
@@ -540,6 +525,15 @@ TEST(ServeProtocolFuzzTest, HugeElementCountsAreRejectedBeforeAllocation) {
   w3.PutU32(1);           // one query
   w3.PutU32(0xFFFF);      // num_dims = 65535, but no range bytes follow
   EXPECT_FALSE(ParseRunBatch(payload).ok());
+
+  // A MetricsResult whose flat entry list claims 2^31 entries.
+  payload.clear();
+  ByteWriter w4(&payload);
+  w4.PutU64(1);            // request_id
+  w4.PutU32(0);            // no registry metrics
+  w4.PutU32(0x80000000u);  // entry count
+  w4.PutU64(0);            // a few bytes of "entries"
+  EXPECT_FALSE(ParseMetricsResult(payload).ok());
 }
 
 TEST(ServeProtocolFuzzTest, TrailingGarbageInsideValidPayloadIsRejected) {

@@ -355,17 +355,18 @@ TEST(ServeRouterTest, WireWritesRouteByKeyAndStatsHealthMerge) {
   EXPECT_FALSE(health->draining);
   EXPECT_FALSE(health->persist_poisoned);
 
-  // Stats merges: serve.* from the front end, router.* from the router,
-  // and every shard's database gauges under its shard<i>. prefix.
-  auto stats = client->Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(Lookup(*stats, "router.num_shards"), 3.0);
+  // Metrics entries merge: serve.* from the front end, router.* from the
+  // router, and every shard's database gauges under its shard<i>. prefix.
+  auto metrics = client->Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  const auto& stats = metrics->entries;
+  EXPECT_EQ(Lookup(stats, "router.num_shards"), 3.0);
   // 3 Inserts + 1 InsertBatch + 1 Delete = 5 routed write calls.
-  EXPECT_EQ(Lookup(*stats, "router.writes_routed"), 5.0);
-  EXPECT_GE(Lookup(*stats, "serve.writes_applied"), 5.0);
-  EXPECT_EQ(Lookup(*stats, "shard1.db.delta_inserts"), 2.0);
-  EXPECT_GE(Lookup(*stats, "shard0.subqueries"), 0.0);
-  EXPECT_GE(Lookup(*stats, "shard2.db.num_rows"), 1.0);
+  EXPECT_EQ(Lookup(stats, "router.writes_routed"), 5.0);
+  EXPECT_GE(Lookup(stats, "serve.writes_applied"), 5.0);
+  EXPECT_EQ(Lookup(stats, "shard1.db.delta_inserts"), 2.0);
+  EXPECT_GE(Lookup(stats, "shard0.subqueries"), 0.0);
+  EXPECT_GE(Lookup(stats, "shard2.db.num_rows"), 1.0);
 
   (*server)->Shutdown();
   (*server)->Join();
@@ -572,6 +573,37 @@ TEST(ServeRouterTest, OneShardOverloadedOverTheWireShedsOnlyItsFrames) {
 
   (*outer)->Shutdown();
   (*outer)->Join();
+}
+
+TEST(ServeRouterTest, RemoteShardIntrospectCarriesItsServerEntries) {
+  // A remote shard's Introspect() is its server's kMetrics entries, which
+  // the router nests under the shard's prefix.
+  const Table table = MakeTable(DataShape::kUniform, 2'000, 3, 86);
+  StatusOr<Database> inner_db = OpenDb(table, "kdtree", 1);
+  ASSERT_TRUE(inner_db.ok());
+  ServerOptions inner_opts;
+  SocketPath inner_sock("introspect");
+  inner_opts.uds_path = inner_sock.path;
+  auto inner = Server::Create(&*inner_db, std::move(inner_opts));
+  ASSERT_TRUE(inner.ok());
+  (*inner)->Start();
+  Query q(3);
+  q.SetRange(0, 0, 2'000'000);
+  (void)inner_db->Run(q);
+
+  std::vector<std::unique_ptr<BatchEngine>> backends;
+  backends.push_back(MakeRemoteBackend("unix:" + inner_sock.path));
+  Router router(ShardMap(0), std::move(backends));
+
+  const auto entries = router.Introspect();
+  EXPECT_EQ(Lookup(entries, "shard0.unreachable"), -1.0);
+  EXPECT_EQ(Lookup(entries, "shard0.db.queries_run"), 1.0);
+  EXPECT_EQ(Lookup(entries, "shard0.db.num_rows"), 2'000.0);
+  EXPECT_GE(Lookup(entries, "shard0.serve.frames_decoded"), 1.0);
+  EXPECT_EQ(Lookup(entries, "shard0.serve.connections_active"), 1.0);
+
+  (*inner)->Shutdown();
+  ASSERT_TRUE((*inner)->Join().ok());
 }
 
 }  // namespace

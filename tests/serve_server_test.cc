@@ -19,6 +19,7 @@
 
 #include "api/database.h"
 #include "api/index_registry.h"
+#include "common/bytes.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -331,7 +332,7 @@ TEST(ServeServerTest, PerConnectionCapShedsWithTypedOverloadedError) {
 TEST(ServeServerTest, ZeroQueueSlotsShedEverythingYetPingAndStatsWork) {
   // max_inflight_batches = 0: every RunBatch is shed at admission — the
   // degenerate configuration proves the overloaded server stays fully
-  // observable (Ping AND Stats answered from the event loop).
+  // observable (Ping AND Metrics answered from the event loop).
   const Table table = MakeTable(DataShape::kUniform, 2'000, 3, 74);
   StatusOr<Database> db = OpenDb(table, "kdtree", 2);
   ASSERT_TRUE(db.ok());
@@ -355,10 +356,10 @@ TEST(ServeServerTest, ZeroQueueSlotsShedEverythingYetPingAndStatsWork) {
     EXPECT_TRUE(reply->results.empty());
     EXPECT_TRUE(client->Ping().ok());  // Liveness under total overload.
   }
-  auto stats = client->Stats();
-  ASSERT_TRUE(stats.ok());
+  auto metrics = client->Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   double shed = -1;
-  for (const auto& [key, value] : *stats) {
+  for (const auto& [key, value] : metrics->entries) {
     if (key == "serve.requests_shed") shed = value;
   }
   EXPECT_EQ(shed, 3.0);
@@ -430,11 +431,11 @@ TEST(ServeServerTest, CountersTrackAScriptedSession) {
   EXPECT_GE(get("db.blocks_exact"), 0.0);
   EXPECT_GE(get("db.simd_blocks"), 0.0);
 
-  // And the wire Stats response carries the identical map.
-  auto wire_stats = client->Stats();
-  ASSERT_TRUE(wire_stats.ok());
-  auto wire_get = [&wire_stats](const std::string& key) -> double {
-    for (const auto& [k, v] : *wire_stats) {
+  // And the kMetrics reply's entries carry the identical map.
+  auto wire_metrics = client->Metrics();
+  ASSERT_TRUE(wire_metrics.ok()) << wire_metrics.status().ToString();
+  auto wire_get = [&wire_metrics](const std::string& key) -> double {
+    for (const auto& [k, v] : wire_metrics->entries) {
       if (k == key) return v;
     }
     return -1.0;
@@ -499,6 +500,42 @@ TEST(ServeServerTest, GarbageBytesGetTypedErrorThenConnectionCloses) {
 
   const ServerCounters c = (*server)->counters();
   EXPECT_GE(c.bad_frames, 2u);
+
+  (*server)->Shutdown();
+  (*server)->Join();
+}
+
+TEST(ServeServerTest, RetiredStatsFrameGetsBadFrameThenConnectionCloses) {
+  // Type 0x06 once asked for the flat stats map; kMetrics carries it now.
+  // An old client's 0x06 frame is well formed, so only its type is wrong:
+  // it gets the typed kBadFrame reply and the connection closes.
+  const Table table = MakeTable(DataShape::kUniform, 2'000, 3, 79);
+  StatusOr<Database> db = OpenDb(table, "kdtree", 1);
+  ASSERT_TRUE(db.ok());
+
+  ServerOptions sopts;
+  SocketPath sock("retired");
+  sopts.uds_path = sock.path;
+  auto server = Server::Create(&*db, std::move(sopts));
+  ASSERT_TRUE(server.ok());
+  (*server)->Start();
+  const uint64_t bad_before = (*server)->counters().bad_frames;
+
+  RawConn conn(sock.path);
+  ASSERT_GE(conn.fd, 0);
+  std::string body;
+  ByteWriter(&body).PutU64(42);  // request_id: the whole retired body.
+  std::string bytes;
+  AppendFrame(static_cast<MessageType>(0x06), body, &bytes);
+  ASSERT_TRUE(conn.SendAll(bytes));
+  Frame frame;
+  ASSERT_TRUE(conn.NextFrame(&frame));
+  ASSERT_EQ(frame.type, MessageType::kError);
+  StatusOr<ErrorResponse> err = ParseError(frame.payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_EQ(err->code, WireCode::kBadFrame);
+  EXPECT_TRUE(conn.WaitForClose());
+  EXPECT_EQ((*server)->counters().bad_frames, bad_before + 1);
 
   (*server)->Shutdown();
   (*server)->Join();
