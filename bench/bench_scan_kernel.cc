@@ -9,13 +9,15 @@
 // "sorted" table filtered on its sort key (zone maps skip or exact-accept
 // nearly every block, so all kernels converge).
 //
-// FLOOD_SCAN_KERNEL=naive|block|simd restricts the run to one kernel (the
-// same toggle every index honors); by default all three run, block rows
-// carry speedup_vs_naive, and simd rows carry speedup_vs_block (the
-// regression-gated >=2x headline). FLOOD_BENCH_SCAN_SECONDS tunes the
-// per-cell measurement budget (default 0.3).
+// Each kernel is called by name. Block rows carry speedup_vs_naive, and
+// simd rows carry speedup_vs_block (the regression-gated >=2x headline).
+// On a host without AVX2 (or with FLOOD_SIMD_LEVEL=scalar) the simd rows
+// measure the block kernel, the path ScanRange takes there.
+// FLOOD_BENCH_SCAN_SECONDS tunes the per-cell measurement budget
+// (default 0.3).
 
-#include <optional>
+#include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,26 +36,10 @@ double MeasureSeconds() {
   return v > 0 ? v : 0.3;
 }
 
-const char* KernelName(ScanKernel k) {
-  if (k == ScanKernel::kNaive) return "naive";
-  return k == ScanKernel::kSimd ? "simd" : "block";
-}
-
-/// Which kernels to measure: all three by default, one if
-/// FLOOD_SCAN_KERNEL pins it.
-std::vector<ScanKernel> KernelsToRun() {
-  const char* env = std::getenv("FLOOD_SCAN_KERNEL");
-  if (env != nullptr && std::strcmp(env, "naive") == 0) {
-    return {ScanKernel::kNaive};
-  }
-  if (env != nullptr && std::strcmp(env, "block") == 0) {
-    return {ScanKernel::kBlock};
-  }
-  if (env != nullptr && std::strcmp(env, "simd") == 0) {
-    return {ScanKernel::kSimd};
-  }
-  return {ScanKernel::kNaive, ScanKernel::kBlock, ScanKernel::kSimd};
-}
+/// A scan kernel instantiated for COUNT.
+using KernelFn = void (*)(const Table&, const Query&, size_t, size_t,
+                          std::span<const size_t>, CountVisitor&,
+                          QueryStats*);
 
 struct Scenario {
   std::string name;
@@ -79,15 +65,13 @@ struct KernelResult {
   double simd_blocks = 0;     ///< Per pass (simd kernel only).
 };
 
-KernelResult Measure(const Scenario& s, ScanKernel kernel) {
-  const ScanKernel previous = ActiveScanKernel();
-  SetScanKernel(kernel);
+KernelResult Measure(const Scenario& s, KernelFn kernel) {
   const std::vector<size_t> dims = FilteredDims(s.query);
   const size_t n = s.table->num_rows();
   {
     // Warm-up pass (page in the encoded words).
     CountVisitor v;
-    ScanRange(*s.table, s.query, 0, n, false, dims, v, nullptr);
+    kernel(*s.table, s.query, 0, n, dims, v, nullptr);
   }
   const int64_t budget_ns =
       static_cast<int64_t>(MeasureSeconds() * 1e9);
@@ -98,7 +82,7 @@ KernelResult Measure(const Scenario& s, ScanKernel kernel) {
   const Stopwatch sw;
   do {
     CountVisitor v;
-    ScanRange(*s.table, s.query, 0, n, false, dims, v, &stats);
+    kernel(*s.table, s.query, 0, n, dims, v, &stats);
     matched = v.count();
     ++passes;
   } while (sw.ElapsedNanos() < budget_ns);
@@ -114,7 +98,6 @@ KernelResult Measure(const Scenario& s, ScanKernel kernel) {
                    static_cast<double>(passes);
   r.simd_blocks = static_cast<double>(stats.simd_blocks) /
                   static_cast<double>(passes);
-  SetScanKernel(previous);
   return r;
 }
 
@@ -154,57 +137,43 @@ std::vector<BenchRow> RunScanKernelBench() {
     scenarios.push_back({"sorted_zonemap", sorted_table, q});
   }
 
-  const std::vector<ScanKernel> kernels = KernelsToRun();
+  const bool has_simd = simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2;
+  const KernelFn simd_kernel = has_simd ? &ScanRangeSimd<CountVisitor>
+                                        : &ScanRangeBlock<CountVisitor>;
   std::vector<BenchRow> rows;
   std::vector<std::vector<std::string>> table_out;
   for (const Scenario& s : scenarios) {
-    std::optional<KernelResult> naive;
-    std::optional<KernelResult> block;
-    std::optional<KernelResult> simd;
-    for (ScanKernel k : kernels) {
-      const KernelResult r = Measure(s, k);
-      if (k == ScanKernel::kNaive) {
-        naive = r;
-      } else if (k == ScanKernel::kBlock) {
-        block = r;
-      } else {
-        simd = r;
-      }
-      BenchRow row;
-      row.name = "ScanKernel/" + s.name + "/" + KernelName(k);
+    const KernelResult naive = Measure(s, &ScanRangeNaive<CountVisitor>);
+    const KernelResult block = Measure(s, &ScanRangeBlock<CountVisitor>);
+    const KernelResult simd = Measure(s, simd_kernel);
+    const auto add_row = [&](const char* kernel,
+                             const KernelResult& r) -> BenchRow& {
+      BenchRow& row = rows.emplace_back();
+      row.name = "ScanKernel/" + s.name + "/" + kernel;
       row.ms = r.ms_per_pass;
       row.counters = {
           {"rows_per_s", r.rows_per_s},
           {"blocks_skipped", r.blocks_skipped},
           {"blocks_exact", r.blocks_exact},
       };
-      if (k != ScanKernel::kNaive && naive.has_value()) {
-        row.counters.push_back(
-            {"speedup_vs_naive", r.rows_per_s / naive->rows_per_s});
-      }
-      if (k == ScanKernel::kSimd) {
-        row.counters.push_back({"simd_blocks", r.simd_blocks});
-        if (block.has_value()) {
-          row.counters.push_back(
-              {"speedup_vs_block", r.rows_per_s / block->rows_per_s});
-        }
-      }
-      rows.push_back(std::move(row));
-    }
-    const double simd_speedup = (block.has_value() && simd.has_value())
-                                    ? simd->rows_per_s / block->rows_per_s
-                                    : 0.0;
-    const KernelResult& shown = simd.has_value()
-                                    ? *simd
-                                    : block.has_value() ? *block : *naive;
+      return row;
+    };
+    add_row("naive", naive);
+    add_row("block", block).counters.push_back(
+        {"speedup_vs_naive", block.rows_per_s / naive.rows_per_s});
+    std::vector<std::pair<std::string, double>>& simd_counters =
+        add_row("simd", simd).counters;
+    simd_counters.push_back(
+        {"speedup_vs_naive", simd.rows_per_s / naive.rows_per_s});
+    simd_counters.push_back({"simd_blocks", simd.simd_blocks});
+    simd_counters.push_back(
+        {"speedup_vs_block", simd.rows_per_s / block.rows_per_s});
     table_out.push_back(
-        {s.name,
-         naive.has_value() ? Format(naive->rows_per_s / 1e6) : "-",
-         block.has_value() ? Format(block->rows_per_s / 1e6) : "-",
-         simd.has_value() ? Format(simd->rows_per_s / 1e6) : "-",
-         simd_speedup > 0 ? Format(simd_speedup) + "x" : "-",
-         Format(shown.blocks_skipped, 0), Format(shown.blocks_exact, 0),
-         std::to_string(shown.matched)});
+        {s.name, Format(naive.rows_per_s / 1e6),
+         Format(block.rows_per_s / 1e6), Format(simd.rows_per_s / 1e6),
+         Format(simd.rows_per_s / block.rows_per_s) + "x",
+         Format(simd.blocks_skipped, 0), Format(simd.blocks_exact, 0),
+         std::to_string(simd.matched)});
   }
   PrintTable("Scan kernel: naive vs block vs simd + zone maps "
              "(rows/s, higher is better)",

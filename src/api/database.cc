@@ -367,16 +367,16 @@ BatchResult Database::RunBatch(std::span<const Query> queries) {
   const Stopwatch wall;
   const size_t n = queries.size();
   batch.results.resize(n);
-  const size_t shards =
-      pool_ != nullptr ? std::min(pool_->num_threads(), n) : 1;
-  std::vector<ShardAccum> accums(std::max<size_t>(1, shards));
-  if (shards <= 1) {
+  const ContiguousSplit split(n,
+                              pool_ != nullptr ? pool_->num_threads() : 1);
+  std::vector<ShardAccum> accums(split.shards());
+  if (split.shards() == 1) {
     RunShard(queries, 0, n, batch.results.data(), &accums[0]);
   } else {
     // Contiguous shards keep results[i] aligned with queries[i] for free
     // and let each worker stream through its slice of the results array.
     QueryResult* const results = batch.results.data();
-    ParallelFor(*pool_, n, shards,
+    ParallelFor(*pool_, n, split.shards(),
                 [this, queries, results, &accums](size_t s, size_t begin,
                                                   size_t end) {
                   RunShard(queries, begin, end, results, &accums[s]);
@@ -449,18 +449,15 @@ void Database::RunBatchAsync(std::span<const Query> queries,
   state->on_done = std::move(on_done);
   const size_t n = state->queries.size();
   state->batch.results.resize(n);
-  const size_t shards = std::max<size_t>(1, std::min(pool_->num_threads(), n));
-  state->accums.resize(shards);
-  state->remaining.store(shards, std::memory_order_relaxed);
+  // ParallelFor's split, so the async result is field-for-field what the
+  // synchronous RunBatch would have produced.
+  const ContiguousSplit split(n, pool_->num_threads());
+  state->accums.resize(split.shards());
+  state->remaining.store(split.shards(), std::memory_order_relaxed);
 
-  // Same contiguous near-equal carve as ParallelFor, so the async result
-  // is field-for-field what the synchronous RunBatch would have produced.
-  const size_t base = n / shards;
-  const size_t extra = n % shards;
-  size_t begin = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t end = begin + base + (s < extra ? 1 : 0);
-    pool_->Submit([this, state, s, begin, end] {
+  for (size_t s = 0; s < split.shards(); ++s) {
+    pool_->Submit([this, state, s, begin = split.begin(s),
+                   end = split.end(s)] {
       RunShard(state->queries, begin, end, state->batch.results.data(),
                &state->accums[s]);
       if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -473,7 +470,6 @@ void Database::RunBatchAsync(std::span<const Query> queries,
         state->on_done(std::move(state->batch));
       }
     });
-    begin = end;
   }
 }
 

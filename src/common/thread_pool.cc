@@ -77,19 +77,15 @@ void WaitGroup::Wait() {
 void ParallelFor(ThreadPool& pool, size_t n, size_t max_shards,
                  const std::function<void(size_t, size_t, size_t)>& fn) {
   if (n == 0) return;
-  const size_t shards = std::max<size_t>(1, std::min(max_shards, n));
-  if (shards == 1) {
+  const ContiguousSplit split(n, max_shards);
+  if (split.shards() == 1) {
     fn(0, 0, n);
     return;
   }
   WaitGroup wg;
-  const size_t chunk = n / shards;
-  const size_t rem = n % shards;
-  size_t begin = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t end = begin + chunk + (s < rem ? 1 : 0);
-    pool.Submit(wg.Wrap([&fn, s, begin, end] { fn(s, begin, end); }));
-    begin = end;
+  for (size_t s = 0; s < split.shards(); ++s) {
+    pool.Submit(wg.Wrap([&fn, s, begin = split.begin(s),
+                         end = split.end(s)] { fn(s, begin, end); }));
   }
   wg.Wait();
 }

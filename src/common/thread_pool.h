@@ -1,6 +1,7 @@
 #ifndef FLOOD_COMMON_THREAD_POOL_H_
 #define FLOOD_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -94,10 +95,32 @@ class WaitGroup {
   std::exception_ptr error_;
 };
 
-/// Splits [0, n) into at most `max_shards` contiguous near-equal shards and
-/// runs fn(shard, begin, end) for each on the pool, blocking until all
-/// complete. Shard 0 covers the front of the range; task errors rethrow
-/// here. Must not be called from inside a pool task (see ThreadPool).
+/// The contiguous near-equal split of [0, n) into min(max_shards, n)
+/// shards (at least one): shard s covers [begin(s), end(s)), shard 0 the
+/// front, and the first n % shards() shards hold one extra item.
+/// ParallelFor and Database::RunBatchAsync both carve through here, so an
+/// async batch is sharded exactly as the synchronous one.
+class ContiguousSplit {
+ public:
+  ContiguousSplit(size_t n, size_t max_shards)
+      : shards_(std::max<size_t>(1, std::min(max_shards, n))),
+        base_(n / shards_),
+        extra_(n % shards_) {}
+
+  size_t shards() const { return shards_; }
+  size_t begin(size_t s) const { return s * base_ + std::min(s, extra_); }
+  size_t end(size_t s) const { return begin(s + 1); }
+
+ private:
+  size_t shards_;
+  size_t base_;
+  size_t extra_;
+};
+
+/// Runs fn(shard, begin, end) for each shard of ContiguousSplit(n,
+/// max_shards) on the pool, blocking until all complete (n == 0 runs
+/// nothing). Task errors rethrow here. Must not be called from inside a
+/// pool task (see ThreadPool).
 void ParallelFor(ThreadPool& pool, size_t n, size_t max_shards,
                  const std::function<void(size_t, size_t, size_t)>& fn);
 

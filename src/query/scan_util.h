@@ -1,9 +1,6 @@
 #ifndef FLOOD_QUERY_SCAN_UTIL_H_
 #define FLOOD_QUERY_SCAN_UTIL_H_
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -13,61 +10,6 @@
 #include "storage/table.h"
 
 namespace flood {
-
-/// A contiguous physical row range to scan. `exact` ranges are known a
-/// priori to contain only matches (§7.1 optimization 1): no per-value
-/// checks are performed and the visitor may use cumulative aggregates.
-struct PhysRange {
-  size_t begin = 0;
-  size_t end = 0;
-  bool exact = false;
-};
-
-/// Which scan kernel ScanRange dispatches to. kSimd (default where the CPU
-/// has AVX2) filters with runtime-dispatched AVX2/AVX-512 vector
-/// predicates; kBlock is the scalar block-decoded kernel, the
-/// always-available reference the simd path falls back to; kNaive is the
-/// original per-row path, kept for A/B benchmarking (bench_scan_kernel)
-/// and as the equivalence-test ground truth.
-enum class ScanKernel { kBlock, kNaive, kSimd };
-
-namespace internal {
-/// -1 = not yet resolved from the environment.
-inline std::atomic<int> g_scan_kernel{-1};
-}  // namespace internal
-
-/// The active kernel: FLOOD_SCAN_KERNEL=naive|block|simd (read once).
-/// Unset (or unrecognized) selects simd when the hardware supports AVX2
-/// and block otherwise. Benign race on first use: resolution is
-/// idempotent. Note kSimd can stay active while the vector ISA is masked
-/// off (SetSimdLevelForTest); ScanRange then falls back to the block
-/// kernel per call.
-inline ScanKernel ActiveScanKernel() {
-  int mode = internal::g_scan_kernel.load(std::memory_order_relaxed);
-  if (mode < 0) {
-    const char* env = std::getenv("FLOOD_SCAN_KERNEL");
-    if (env != nullptr && std::strcmp(env, "naive") == 0) {
-      mode = 1;
-    } else if (env != nullptr && std::strcmp(env, "block") == 0) {
-      mode = 0;
-    } else if (env != nullptr && std::strcmp(env, "simd") == 0) {
-      mode = 2;
-    } else {
-      mode = simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2 ? 2 : 0;
-    }
-    internal::g_scan_kernel.store(mode, std::memory_order_relaxed);
-  }
-  if (mode == 1) return ScanKernel::kNaive;
-  return mode == 2 ? ScanKernel::kSimd : ScanKernel::kBlock;
-}
-
-/// Overrides the kernel choice (benchmarks / tests).
-inline void SetScanKernel(ScanKernel kernel) {
-  int mode = 0;
-  if (kernel == ScanKernel::kNaive) mode = 1;
-  if (kernel == ScanKernel::kSimd) mode = 2;
-  internal::g_scan_kernel.store(mode, std::memory_order_relaxed);
-}
 
 /// Initializes `bitmap` to all-ones over the first `n` row slots — the
 /// shared masked epilogue: the final partial word keeps only its low
@@ -109,7 +51,9 @@ inline BlockZoneOutcome ClassifyBlockZones(
 
 /// The original row-at-a-time scan: evaluate one predicate column at a
 /// time over a match bitmap, paying a per-value lambda call, div/mod, and
-/// bit extraction. Reference implementation for the block kernel.
+/// bit extraction. ScanRange's pick for ranges too short to amortize a
+/// block decode and for more check dims than the block kernels' scratch
+/// holds; also the tests' reference for the block kernels.
 template <typename V>
 void ScanRangeNaive(const Table& data, const Query& query, size_t begin,
                     size_t end, std::span<const size_t> check_dims,
@@ -237,9 +181,9 @@ void ScanRangeBlock(const Table& data, const Query& query, size_t begin,
   }
 }
 
-/// Vectorized block scan kernel (ISSUE: the SIMD tentpole). Same zone-map
-/// structure as ScanRangeBlock — per block, skip / exact-accept / filter —
-/// but the filter stage runs runtime-dispatched vector predicates:
+/// Vectorized block scan kernel. Same zone-map structure as
+/// ScanRangeBlock — per block, skip / exact-accept / filter — but the
+/// filter stage runs runtime-dispatched vector predicates:
 ///  * widths 1..simd::kMaxPackedFilterWidth under kBlockDelta are filtered
 ///    straight off the packed words (no decode store/reload): each AVX2
 ///    lane loads the byte-aligned 64-bit window holding its delta, shifts,
@@ -254,8 +198,8 @@ void ScanRangeBlock(const Table& data, const Query& query, size_t begin,
 /// V::VisitMatchBitmap, so COUNT uses a popcount tree and SUM a masked
 /// vector sum instead of per-word dispatch.
 ///
-/// Caller guarantees simd::ActiveSimdLevel() >= kAvx2 (ScanRange falls
-/// back to the block kernel otherwise).
+/// Caller guarantees simd::ActiveSimdLevel() >= kAvx2 (ScanRange picks
+/// the block kernel otherwise).
 template <typename V>
 void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
                    size_t end, std::span<const size_t> check_dims,
@@ -375,11 +319,13 @@ void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
 
 /// Scans one range, checking each row of `check_dims` against the query.
 /// Non-listed dimensions are assumed satisfied by construction (e.g. the
-/// refined sort dimension). Dispatches per ActiveScanKernel(): the simd
-/// kernel (default on AVX2 hardware), the scalar block kernel, or the
-/// naive row-at-a-time path. kSimd with the vector ISA masked off
-/// (FLOOD_SIMD_LEVEL / SetSimdLevelForTest) falls back to the block
-/// kernel at call time — results are identical, simd_blocks stays 0.
+/// refined sort dimension). The kernel is picked per call from what the
+/// range and the CPU allow: the naive row-at-a-time path for ranges under
+/// 32 rows or more than 64 check dims, else the simd kernel when the
+/// active ISA tier is AVX2 or better, else the scalar block kernel
+/// (FLOOD_SIMD_LEVEL=scalar / SetSimdLevelForTest take that path on AVX2
+/// hosts too). All three give identical results; only simd counts
+/// simd_blocks.
 ///
 /// Counters: adds end-begin to points_scanned, matches to points_matched,
 /// and one to ranges_scanned; the block kernels also tally
@@ -408,27 +354,12 @@ void ScanRange(const Table& data, const Query& query, size_t begin,
   // do tiny ranges, which would not amortize a 128-value block decode
   // (tree/grid baselines emit many few-row boundary cells).
   constexpr size_t kMinBlockKernelRows = 32;
-  const ScanKernel kernel = ActiveScanKernel();
-  if (kernel == ScanKernel::kNaive || check_dims.size() > 64 ||
-      n < kMinBlockKernelRows) {
+  if (check_dims.size() > 64 || n < kMinBlockKernelRows) {
     ScanRangeNaive(data, query, begin, end, check_dims, visitor, stats);
-  } else if (kernel == ScanKernel::kSimd &&
-             simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2) {
+  } else if (simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2) {
     ScanRangeSimd(data, query, begin, end, check_dims, visitor, stats);
   } else {
     ScanRangeBlock(data, query, begin, end, check_dims, visitor, stats);
-  }
-}
-
-/// Convenience wrapper over a list of ranges with a shared check-dim set.
-template <typename V>
-void ScanRanges(const Table& data, const Query& query,
-                const std::vector<PhysRange>& ranges,
-                std::span<const size_t> check_dims, V& visitor,
-                QueryStats* stats) {
-  for (const PhysRange& r : ranges) {
-    ScanRange(data, query, r.begin, r.end, r.exact, check_dims, visitor,
-              stats);
   }
 }
 

@@ -45,7 +45,7 @@ SimdLevel DetectedSimdLevel() {
 
 namespace {
 /// ISA cap: -1 = not yet resolved from FLOOD_SIMD_LEVEL. Benign race on
-/// first use: resolution is idempotent (same idiom as g_scan_kernel).
+/// first use: resolution is idempotent.
 std::atomic<int> g_simd_cap{-1};
 
 int ParseLevel(const char* name) {

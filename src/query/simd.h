@@ -27,7 +27,8 @@ SimdLevel DetectedSimdLevel();
 SimdLevel ActiveSimdLevel();
 
 /// Caps ActiveSimdLevel() below the detected tier (dispatch-fallback tests,
-/// A/B benchmarks). Pass DetectedSimdLevel() to undo.
+/// A/B benchmarks). Pass the ActiveSimdLevel() read before the call to
+/// undo; DetectedSimdLevel() would also lift a FLOOD_SIMD_LEVEL cap.
 void SetSimdLevelForTest(SimdLevel cap);
 
 /// Widest bit-packed delta the fused packed-word filter handles: a value's

@@ -14,24 +14,54 @@ namespace {
 using testing::DataShape;
 using testing::MakeTable;
 
-/// Forces a scan kernel for the duration of a test and restores whatever
-/// was active before (the mode is process-global, and the suite may run
-/// with FLOOD_SCAN_KERNEL forcing any kernel).
-class ScopedScanKernel {
- public:
-  explicit ScopedScanKernel(ScanKernel k) : previous_(ActiveScanKernel()) {
-    SetScanKernel(k);
-  }
-  ~ScopedScanKernel() { SetScanKernel(previous_); }
-
- private:
-  ScanKernel previous_;
-};
-
 /// True when the simd kernel's vector paths can actually execute here.
 bool SimdAvailable() {
   return simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2;
 }
+
+/// The three scan kernels, called by name. ScanRange picks one per call;
+/// these tests pin each one.
+enum class Kernel { kNaive, kBlock, kSimd };
+
+/// The kernels this host can run: simd only where its vector ISA is
+/// active (calling it elsewhere is an illegal instruction).
+std::vector<Kernel> RunnableKernels() {
+  std::vector<Kernel> kernels{Kernel::kNaive, Kernel::kBlock};
+  if (SimdAvailable()) kernels.push_back(Kernel::kSimd);
+  return kernels;
+}
+
+/// Scans the non-empty range [begin, end) with `kernel`.
+template <typename V>
+void ScanWith(Kernel kernel, const Table& t, const Query& q, size_t begin,
+              size_t end, std::span<const size_t> dims, V& v,
+              QueryStats* stats) {
+  switch (kernel) {
+    case Kernel::kNaive:
+      ScanRangeNaive(t, q, begin, end, dims, v, stats);
+      return;
+    case Kernel::kBlock:
+      ScanRangeBlock(t, q, begin, end, dims, v, stats);
+      return;
+    case Kernel::kSimd:
+      ScanRangeSimd(t, q, begin, end, dims, v, stats);
+      return;
+  }
+}
+
+/// Caps the vector ISA for one scope and restores the level that was
+/// active before (which may itself be capped by FLOOD_SIMD_LEVEL).
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(simd::SimdLevel cap)
+      : previous_(simd::ActiveSimdLevel()) {
+    simd::SetSimdLevelForTest(cap);
+  }
+  ~ScopedSimdLevel() { simd::SetSimdLevelForTest(previous_); }
+
+ private:
+  simd::SimdLevel previous_;
+};
 
 TEST(ScanUtilTest, ExactRangeSkipsChecks) {
   const Table t = MakeTable(DataShape::kUniform, 1000, 2, 1);
@@ -76,19 +106,22 @@ TEST(ScanUtilTest, BoundaryAlignmentBothKernels) {
   ASSERT_TRUE(t.ok());
   Query q = QueryBuilder(1).Range(0, 100, 4999).Build();
   const std::vector<size_t> dims{0};
-  for (ScanKernel kernel :
-       {ScanKernel::kNaive, ScanKernel::kBlock, ScanKernel::kSimd}) {
-    ScopedScanKernel scoped(kernel);
-    for (auto [begin, end] : std::vector<std::pair<size_t, size_t>>{
-             {0, 6000}, {1, 2049}, {2047, 2049}, {63, 65}, {2048, 4096},
-             {127, 129}, {128, 256}, {5999, 6000}, {0, 1}, {100, 100}}) {
+  for (auto [begin, end] : std::vector<std::pair<size_t, size_t>>{
+           {0, 6000}, {1, 2049}, {2047, 2049}, {63, 65}, {2048, 4096},
+           {127, 129}, {128, 256}, {5999, 6000}, {0, 1}, {100, 100}}) {
+    uint64_t expected = 0;
+    for (size_t i = begin; i < end; ++i) {
+      if (col[i] >= 100 && col[i] <= 4999) ++expected;
+    }
+    CountVisitor dispatched;
+    ScanRange(*t, q, begin, end, false, dims, dispatched, nullptr);
+    EXPECT_EQ(dispatched.count(), expected) << begin << ".." << end;
+    if (begin == end) continue;  // The kernels take non-empty ranges.
+    for (Kernel kernel : RunnableKernels()) {
       CountVisitor v;
-      ScanRange(*t, q, begin, end, false, dims, v, nullptr);
-      uint64_t expected = 0;
-      for (size_t i = begin; i < end; ++i) {
-        if (col[i] >= 100 && col[i] <= 4999) ++expected;
-      }
-      EXPECT_EQ(v.count(), expected) << begin << ".." << end;
+      ScanWith(kernel, *t, q, begin, end, dims, v, nullptr);
+      EXPECT_EQ(v.count(), expected)
+          << static_cast<int>(kernel) << " " << begin << ".." << end;
     }
   }
 }
@@ -158,65 +191,82 @@ struct KernelRun {
   QueryStats stats;
 };
 
-KernelRun RunKernel(ScanKernel kernel, const Table& t, const Query& q,
-                    size_t begin, size_t end,
-                    std::span<const size_t> dims) {
-  ScopedScanKernel scoped(kernel);
+/// Runs `scan(visitor, stats)` -- one kernel called by name, or
+/// ScanRange's own pick -- with the collect, count and sum visitors.
+template <typename Scan>
+KernelRun RunKernel(const Table& t, Scan scan) {
   KernelRun run;
   CollectVisitor collect;
-  ScanRange(t, q, begin, end, false, dims, collect, &run.stats);
+  scan(collect, &run.stats);
   run.rows = collect.rows();
   CountVisitor count;
-  ScanRange(t, q, begin, end, false, dims, count, nullptr);
+  scan(count, nullptr);
   run.count = count.count();
   SumVisitor sum(&t.column(0));
-  ScanRange(t, q, begin, end, false, dims, sum, nullptr);
+  scan(sum, nullptr);
   run.sum = sum.sum();
   return run;
 }
 
-/// Runs all three kernels over the same range and asserts the block and
-/// simd kernels are bit-identical to the naive reference: same matched
-/// rows, counts, sums, and point counters. The simd kernel must also
-/// reproduce the block kernel's zone-map outcomes exactly.
+/// Runs all three kernels over the same non-empty range and asserts the
+/// block and simd kernels are bit-identical to the naive reference: same
+/// matched rows, counts, sums, and point counters. The simd kernel must
+/// also reproduce the block kernel's zone-map outcomes exactly, and
+/// ScanRange must return what the kernel it picks returns.
 void ExpectKernelsAgree(const Table& t, const Query& q, size_t begin,
                         size_t end, std::span<const size_t> dims) {
-  const KernelRun naive = RunKernel(ScanKernel::kNaive, t, q, begin, end,
-                                    dims);
+  const auto run_kernel = [&](Kernel kernel) {
+    return RunKernel(t, [&](auto& v, QueryStats* stats) {
+      ScanWith(kernel, t, q, begin, end, dims, v, stats);
+    });
+  };
+  const KernelRun naive = run_kernel(Kernel::kNaive);
   EXPECT_EQ(naive.stats.blocks_skipped, 0u);
   EXPECT_EQ(naive.stats.blocks_exact, 0u);
   EXPECT_EQ(naive.stats.simd_blocks, 0u);
-  const KernelRun block = RunKernel(ScanKernel::kBlock, t, q, begin, end,
-                                    dims);
-  const KernelRun simd = RunKernel(ScanKernel::kSimd, t, q, begin, end,
-                                   dims);
+  const KernelRun block = run_kernel(Kernel::kBlock);
+  // Without an active AVX2 tier the simd kernel cannot run; the block
+  // kernel stands in, as it does in ScanRange's pick.
+  const KernelRun simd = SimdAvailable() ? run_kernel(Kernel::kSimd) : block;
+  const KernelRun dispatched =
+      RunKernel(t, [&](auto& v, QueryStats* stats) {
+        ScanRange(t, q, begin, end, false, dims, v, stats);
+      });
   const std::pair<const char*, const KernelRun*> runs[] = {
-      {"block", &block}, {"simd", &simd}};
+      {"block", &block}, {"simd", &simd}, {"ScanRange", &dispatched}};
   for (const auto& [name, run_ptr] : runs) {
     SCOPED_TRACE(name);
     const KernelRun& run = *run_ptr;
     ASSERT_EQ(naive.rows, run.rows);
     EXPECT_EQ(naive.count, run.count);
     EXPECT_EQ(naive.sum, run.sum);
-    EXPECT_EQ(naive.stats.points_scanned, run.stats.points_scanned);
     EXPECT_EQ(naive.stats.points_matched, run.stats.points_matched);
-    EXPECT_EQ(naive.stats.ranges_scanned, run.stats.ranges_scanned);
+    EXPECT_EQ(naive.stats.points_exact, run.stats.points_exact);
   }
+  // The kernels leave the range-level counters to ScanRange.
+  for (const KernelRun* kernel_run : {&naive, &block, &simd}) {
+    EXPECT_EQ(kernel_run->stats.points_scanned, 0u);
+    EXPECT_EQ(kernel_run->stats.ranges_scanned, 0u);
+  }
+  EXPECT_EQ(dispatched.stats.points_scanned, end - begin);
+  EXPECT_EQ(dispatched.stats.ranges_scanned, 1u);
   // Zone-map outcomes must not depend on the (block vs simd) filter
   // implementation; only the simd kernel counts vector-filtered blocks.
   EXPECT_EQ(block.stats.blocks_skipped, simd.stats.blocks_skipped);
   EXPECT_EQ(block.stats.blocks_exact, simd.stats.blocks_exact);
   EXPECT_EQ(block.stats.simd_blocks, 0u);
-  if (SimdAvailable() && end - begin >= 32 && dims.size() <= 64) {
+  if (SimdAvailable()) {
     // Every zone-surviving block that needed filtering went through the
     // vector path.
     const size_t blocks = (end - 1) / Column::kBlockSize -
                           begin / Column::kBlockSize + 1;
     EXPECT_EQ(simd.stats.simd_blocks,
               blocks - simd.stats.blocks_skipped - simd.stats.blocks_exact);
-  } else {
-    EXPECT_EQ(simd.stats.simd_blocks, 0u);
   }
+  const KernelRun& picked = end - begin < 32 ? naive : simd;
+  EXPECT_EQ(dispatched.stats.blocks_skipped, picked.stats.blocks_skipped);
+  EXPECT_EQ(dispatched.stats.blocks_exact, picked.stats.blocks_exact);
+  EXPECT_EQ(dispatched.stats.simd_blocks, picked.stats.simd_blocks);
 }
 
 TEST(ScanKernelEquivalenceTest, AllBitWidthsBothEncodings) {
@@ -278,72 +328,68 @@ TEST(ScanKernelTest, ZoneMapSkipAndExactCounters) {
   const Query q = QueryBuilder(1).Range(0, 256, 800).Build();
   const std::vector<size_t> dims{0};
 
-  ScopedScanKernel scoped(ScanKernel::kBlock);
   {
     CountVisitor v;
     QueryStats stats;
-    ScanRange(*t, q, 0, 1280, false, dims, v, &stats);
+    ScanWith(Kernel::kBlock, *t, q, 0, 1280, dims, v, &stats);
     EXPECT_EQ(v.count(), 545u);  // 256..800 inclusive.
     // Blocks 0-1 and 7-9 are disjoint with [256, 800]; blocks 2-5 are
     // fully contained; block 6 (768..895) needs decoding.
     EXPECT_EQ(stats.blocks_skipped, 5u);
     EXPECT_EQ(stats.blocks_exact, 4u);
-    EXPECT_EQ(stats.points_scanned, 1280u);
     EXPECT_EQ(stats.points_matched, 545u);
   }
   {
     // Clipped scan range: zone maps still apply to partial blocks.
     CountVisitor v;
     QueryStats stats;
-    ScanRange(*t, q, 300, 900, false, dims, v, &stats);
+    ScanWith(Kernel::kBlock, *t, q, 300, 900, dims, v, &stats);
     EXPECT_EQ(v.count(), 501u);  // 300..800 inclusive.
     EXPECT_EQ(stats.blocks_skipped, 1u);  // Clipped block 7 (896..899).
     EXPECT_EQ(stats.blocks_exact, 4u);    // Blocks 2-5 (clipped block 2).
   }
   {
     // The naive kernel never touches the block counters.
-    ScopedScanKernel naive(ScanKernel::kNaive);
     CountVisitor v;
     QueryStats stats;
-    ScanRange(*t, q, 0, 1280, false, dims, v, &stats);
+    ScanWith(Kernel::kNaive, *t, q, 0, 1280, dims, v, &stats);
     EXPECT_EQ(v.count(), 545u);
     EXPECT_EQ(stats.blocks_skipped, 0u);
     EXPECT_EQ(stats.blocks_exact, 0u);
   }
-  {
+  if (SimdAvailable()) {
     // The simd kernel reproduces the zone-map outcomes and counts the one
     // block (6: rows 768..895) that needed vector filtering.
-    ScopedScanKernel simd_kernel(ScanKernel::kSimd);
     CountVisitor v;
     QueryStats stats;
-    ScanRange(*t, q, 0, 1280, false, dims, v, &stats);
+    ScanWith(Kernel::kSimd, *t, q, 0, 1280, dims, v, &stats);
     EXPECT_EQ(v.count(), 545u);
     EXPECT_EQ(stats.blocks_skipped, 5u);
     EXPECT_EQ(stats.blocks_exact, 4u);
-    EXPECT_EQ(stats.simd_blocks, SimdAvailable() ? 1u : 0u);
+    EXPECT_EQ(stats.simd_blocks, 1u);
   }
 }
 
 TEST(ScanKernelTest, SimdDispatchFallsBackWhenIsaMasked) {
-  // With the vector ISA masked off, the simd kernel selection must fall
-  // back to the scalar block kernel at call time: identical results and
-  // zone-map counters, and no block ever counted as vector-filtered.
+  // With the vector ISA masked off, ScanRange must pick the scalar block
+  // kernel at call time: identical results and zone-map counters, and no
+  // block ever counted as vector-filtered.
   const Table t = MakeTable(DataShape::kClustered, 4096, 3, 11);
   const Query q = testing::RandomQuery(t, 77);
   const std::vector<size_t> dims = FilteredDims(q);
   ASSERT_FALSE(dims.empty());
-  ScopedScanKernel scoped(ScanKernel::kSimd);
 
   CollectVisitor unmasked;
   QueryStats unmasked_stats;
   ScanRange(t, q, 0, t.num_rows(), false, dims, unmasked, &unmasked_stats);
 
-  simd::SetSimdLevelForTest(simd::SimdLevel::kScalar);
-  ASSERT_EQ(simd::ActiveSimdLevel(), simd::SimdLevel::kScalar);
   CollectVisitor masked;
   QueryStats masked_stats;
-  ScanRange(t, q, 0, t.num_rows(), false, dims, masked, &masked_stats);
-  simd::SetSimdLevelForTest(simd::DetectedSimdLevel());
+  {
+    ScopedSimdLevel scalar(simd::SimdLevel::kScalar);
+    ASSERT_EQ(simd::ActiveSimdLevel(), simd::SimdLevel::kScalar);
+    ScanRange(t, q, 0, t.num_rows(), false, dims, masked, &masked_stats);
+  }
 
   EXPECT_EQ(unmasked.rows(), masked.rows());
   EXPECT_EQ(unmasked_stats.points_matched, masked_stats.points_matched);
@@ -351,19 +397,84 @@ TEST(ScanKernelTest, SimdDispatchFallsBackWhenIsaMasked) {
   EXPECT_EQ(unmasked_stats.blocks_exact, masked_stats.blocks_exact);
   EXPECT_EQ(masked_stats.simd_blocks, 0u);
   // The cap only masks: it can never exceed what cpuid detected.
-  simd::SetSimdLevelForTest(simd::SimdLevel::kAvx512);
+  ScopedSimdLevel widest(simd::SimdLevel::kAvx512);
   EXPECT_LE(simd::ActiveSimdLevel(), simd::DetectedSimdLevel());
-  simd::SetSimdLevelForTest(simd::DetectedSimdLevel());
 }
 
-TEST(ScanKernelTest, KernelToggleRoundTrips) {
-  // The kernel toggle (FLOOD_SCAN_KERNEL's backing switch) must report
-  // exactly what was set, for all three kernels.
-  ScopedScanKernel scoped(ScanKernel::kBlock);
-  for (ScanKernel k :
-       {ScanKernel::kNaive, ScanKernel::kSimd, ScanKernel::kBlock}) {
-    SetScanKernel(k);
-    EXPECT_EQ(ActiveScanKernel(), k);
+TEST(ScanKernelTest, RangeAndIsaPickTheKernel) {
+  // ScanRange's selection rules, pinned by comparing its output and
+  // counters with the kernel each case must pick. On the sorted key,
+  // blocks 0-1 and 7-9 are disjoint with [256, 800], blocks 2-5 lie
+  // inside it, and block 6 (768..895) straddles its top.
+  std::vector<Value> key(1280);
+  for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<Value>(i);
+  StatusOr<Table> sorted =
+      Table::FromColumns({key}, Column::Encoding::kBlockDelta);
+  ASSERT_TRUE(sorted.ok());
+  const Query key_q = QueryBuilder(1).Range(0, 256, 800).Build();
+  // 65 check dims: one more than the block kernels' scratch holds.
+  const Table wide = MakeTable(DataShape::kUniform, 2000, 65, 21);
+  QueryBuilder wide_builder(65);
+  for (size_t d = 0; d < 65; ++d) wide_builder.Range(d, 0, 990'000);
+  const Query wide_q = wide_builder.Build();
+
+  const simd::SimdLevel active = simd::ActiveSimdLevel();
+  const Kernel isa_pick = SimdAvailable() ? Kernel::kSimd : Kernel::kBlock;
+  const struct {
+    const char* name;
+    const Table* table;
+    const Query* query;
+    size_t begin;
+    size_t end;
+    simd::SimdLevel cap;
+    Kernel expected;
+  } cases[] = {
+      // 31 rows inside block 2, which a block kernel counts as exact.
+      {"under 32 rows", &*sorted, &key_q, 300, 331, active, Kernel::kNaive},
+      {"65 check dims", &wide, &wide_q, 0, 2000, active, Kernel::kNaive},
+      {"active ISA", &*sorted, &key_q, 0, 1280, active, isa_pick},
+      {"ISA capped to scalar", &*sorted, &key_q, 0, 1280,
+       simd::SimdLevel::kScalar, Kernel::kBlock},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    ScopedSimdLevel level(c.cap);
+    const std::vector<size_t> dims = FilteredDims(*c.query);
+    CollectVisitor got;
+    QueryStats got_stats;
+    ScanRange(*c.table, *c.query, c.begin, c.end, false, dims, got,
+              &got_stats);
+    CollectVisitor want;
+    QueryStats want_stats;
+    ScanWith(c.expected, *c.table, *c.query, c.begin, c.end, dims, want,
+             &want_stats);
+
+    uint64_t oracle = 0;
+    for (size_t row = c.begin; row < c.end; ++row) {
+      if (c.query->Matches(*c.table, static_cast<RowId>(row))) ++oracle;
+    }
+    EXPECT_EQ(got.rows().size(), oracle);
+    EXPECT_EQ(got.rows(), want.rows());
+    EXPECT_EQ(got_stats.points_scanned, c.end - c.begin);
+    EXPECT_EQ(got_stats.ranges_scanned, 1u);
+    EXPECT_EQ(got_stats.points_matched, want_stats.points_matched);
+    EXPECT_EQ(got_stats.blocks_skipped, want_stats.blocks_skipped);
+    EXPECT_EQ(got_stats.blocks_exact, want_stats.blocks_exact);
+    EXPECT_EQ(got_stats.simd_blocks, want_stats.simd_blocks);
+    switch (c.expected) {
+      case Kernel::kNaive:
+        EXPECT_EQ(got_stats.blocks_skipped + got_stats.blocks_exact, 0u);
+        EXPECT_EQ(got_stats.simd_blocks, 0u);
+        break;
+      case Kernel::kBlock:
+        EXPECT_EQ(got_stats.blocks_skipped, 5u);
+        EXPECT_EQ(got_stats.blocks_exact, 4u);
+        EXPECT_EQ(got_stats.simd_blocks, 0u);
+        break;
+      case Kernel::kSimd:
+        EXPECT_GT(got_stats.simd_blocks, 0u);
+        break;
+    }
   }
 }
 

@@ -3,7 +3,7 @@
 // in-process Database — for every registered index, with staged writes and
 // tombstones in flight — while provably pruning shards whose key range is
 // disjoint from the query, routing writes to exactly one shard, merging
-// Stats/Health across shards, and failing ONLY the frames whose queries
+// Metrics/Health across shards, and failing ONLY the frames whose queries
 // were routed to an overloaded or dead shard.
 
 #include <gtest/gtest.h>
@@ -302,7 +302,8 @@ TEST(ServeRouterTest, DisjointQueriesNeverReachPrunedShards) {
 }
 
 // ---------------------------------------------------------------------------
-// Writes route to exactly one shard; Stats and Health merge across shards.
+// Writes route to exactly one shard; Metrics and Health merge across
+// shards.
 // ---------------------------------------------------------------------------
 
 TEST(ServeRouterTest, WireWritesRouteByKeyAndStatsHealthMerge) {
